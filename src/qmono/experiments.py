@@ -80,9 +80,10 @@ def format_number(value) -> str:
     return format(float(value), ".17g")
 
 
-def _metric_fields(table, i, tolerance):
+def _metric_fields(table, labels, i):
+    """Metric columns of row i; `labels` is classify_gaps of the whole table."""
     row = {k: float(table[k][i]) for k in _METRIC_KEYS}
-    row["class"] = str(classify_gaps(table["gap_tight"][i], tolerance))
+    row["class"] = str(labels[i])
     return row
 
 
@@ -112,10 +113,11 @@ def run_ensemble(config: EnsembleConfig):
     """Sample the family and report every state; returns (rows, summary)."""
     psis, params = _ensemble_states(config)
     table = monogamy_table(psis, config.pivot)
+    labels = classify_gaps(table["gap_tight"], config.tolerance)
     rows = []
     for i in range(config.count):
         row = {"index": i, "family": config.family, **params[i],
-               **_metric_fields(table, i, config.tolerance)}
+               **_metric_fields(table, labels, i)}
         rows.append(row)
     return rows, summarize(rows, config)
 
@@ -178,8 +180,9 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
         rows.append(row)
     if buildable:
         table = monogamy_table(np.stack([psi for _, psi in buildable]), pivot)
+        labels = classify_gaps(table["gap_tight"], tolerance)
         for j, (i, _) in enumerate(buildable):
-            rows[i].update(_metric_fields(table, j, tolerance))
+            rows[i].update(_metric_fields(table, labels, j))
     return rows
 
 

@@ -10,20 +10,23 @@ a chosen pivot qubit X with partners Y, Z:
 The tight form dominates the product form, its gap obeys the exact
 identity (C^2_X(YZ))^2 - rhs^2 = (C^2_XY - C^2_XZ)^2, and it is
 saturated exactly when C_XY = C_XZ.
+
+The inputs come from measures.pure_state_invariants: tau from Cayley's
+hyperdeterminant, C^2_XY = Tr(rho_XY rho_tilde_XY) - tau/2 and C^2_X(YZ)
+from the purity, with no eigensolve.  tau is therefore identical at every
+pivot, and C^2_XY + tau/2 under the tight square root is a sum of squared
+moduli: for a pair with no entanglement it is of the order of the squared
+roundoff, not of the roundoff itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace
-from .measures import (
-    bipartition_c2_raw,
-    concurrence_raw,
-    pivot_pairs,
-)
+from .measures import pure_state_invariants
 
 __all__ = [
     "SATURATION_TOL",
@@ -48,8 +51,10 @@ class MonogamyReport:
     """Every monogamy-related quantity for one state and one pivot.
 
     The c2_* fields and tau are clamped to [0, 1]; the values they had
-    before clamping sit in raw_unclamped (keys c_ab, c_ac, c2_abc, tau).
-    Gaps are LHS - RHS, so non-negative up to numerical noise.
+    before clamping sit in raw_unclamped: c2_abc and tau as they are, and
+    c_ab, c_ac as the signed square root of the pre-clamp C^2 (negative
+    when roundoff pushed C^2 below 0).  Gaps are LHS - RHS, so
+    non-negative up to numerical noise.
     """
 
     pivot: str
@@ -84,7 +89,11 @@ def fei_rhs(report: MonogamyReport) -> float:
 
 
 def tight_rhs(report: MonogamyReport) -> float:
-    """Right-hand side of the tight product bound for an existing report."""
+    """Right-hand side of the tight product bound from a report's clamped values.
+
+    report.rhs_tight itself is taken from the pre-clamp values, so the two
+    differ only by roundoff, where a clamp moved C^2 or tau.
+    """
     return float(tight_rhs_values(report.c2_ab, report.c2_ac, report.tau))
 
 
@@ -120,21 +129,20 @@ def monogamy_table(psis, pivot: str = "A") -> dict:
 
     Returns a dict with keys c2_ab, c2_ac, c2_abc, tau, rhs_fei,
     rhs_tight, gap_fei, gap_tight (clamped, publication values) plus
-    raw_c_ab, raw_c_ac, raw_c2_abc, raw_tau (pre-clamp diagnostics).
+    raw_c2_ab, raw_c2_ac, raw_c2_abc, raw_tau (pre-clamp diagnostics).
     The *_ab entries refer to the pair (pivot, first partner in label
     order), *_ac to the second partner.
     """
-    pair1, pair2 = pivot_pairs(pivot)
-    raw_c_ab = concurrence_raw(partial_trace(psis, pair1))
-    raw_c_ac = concurrence_raw(partial_trace(psis, pair2))
-    raw_c2_abc = bipartition_c2_raw(psis, pivot)
-    c2_ab = np.clip(raw_c_ab, 0.0, 1.0) ** 2
-    c2_ac = np.clip(raw_c_ac, 0.0, 1.0) ** 2
+    raw_c2_ab, raw_c2_ac, raw_c2_abc, raw_tau = pure_state_invariants(psis, pivot)
+    c2_ab = np.clip(raw_c2_ab, 0.0, 1.0)
+    c2_ac = np.clip(raw_c2_ac, 0.0, 1.0)
     c2_abc = np.clip(raw_c2_abc, 0.0, 1.0)
-    raw_tau = c2_abc - c2_ab - c2_ac
     tau = np.clip(raw_tau, 0.0, 1.0)
     rhs_f = fei_rhs_values(c2_ab, c2_ac, tau)
-    rhs_t = tight_rhs_values(c2_ab, c2_ac, tau)
+    # C^2 + tau/2 is Tr(rho rho_tilde), a sum of squared moduli: taken from
+    # the pre-clamp values it stays 0 for a pair with no entanglement, where
+    # clamping first would leave the roundoff tau/2 under the square root.
+    rhs_t = tight_rhs_values(raw_c2_ab, raw_c2_ac, raw_tau)
     return {
         "c2_ab": c2_ab,
         "c2_ac": c2_ac,
@@ -144,11 +152,15 @@ def monogamy_table(psis, pivot: str = "A") -> dict:
         "rhs_tight": rhs_t,
         "gap_fei": c2_abc - rhs_f,
         "gap_tight": c2_abc - rhs_t,
-        "raw_c_ab": raw_c_ab,
-        "raw_c_ac": raw_c_ac,
+        "raw_c2_ab": raw_c2_ab,
+        "raw_c2_ac": raw_c2_ac,
         "raw_c2_abc": raw_c2_abc,
         "raw_tau": raw_tau,
     }
+
+
+def _signed_root(c2: float) -> float:
+    return math.copysign(math.sqrt(abs(c2)), c2)
 
 
 def build_report(psi, pivot: str = "A", tol: float = SATURATION_TOL) -> MonogamyReport:
@@ -167,8 +179,8 @@ def build_report(psi, pivot: str = "A", tol: float = SATURATION_TOL) -> Monogamy
         gap_tight=vals["gap_tight"],
         saturated_tight=bool(abs(vals["gap_tight"]) <= tol),
         raw_unclamped={
-            "c_ab": vals["raw_c_ab"],
-            "c_ac": vals["raw_c_ac"],
+            "c_ab": _signed_root(vals["raw_c2_ab"]),
+            "c_ac": _signed_root(vals["raw_c2_ac"]),
             "c2_abc": vals["raw_c2_abc"],
             "tau": vals["raw_tau"],
         },

@@ -23,6 +23,7 @@ __all__ = [
     "conjugate",
     "adjoint",
     "trace",
+    "state_tensor",
     "partial_trace",
     "partial_trace_single",
     "hermitian_eigenvalues",
@@ -85,7 +86,12 @@ def trace(m):
     return np.trace(m, axis1=-2, axis2=-1)
 
 
-def _state_tensor(psi):
+def state_tensor(psi):
+    """Validated (..., 2, 2, 2) amplitude tensor of a state stack and <psi|psi>.
+
+    Rejects a last axis other than 8, non-finite amplitudes and norms
+    outside the NORM_TOL window.  Axis k of the tensor is qubit k.
+    """
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape[-1] != 8:
         raise ValueError(f"state must have 8 amplitudes, got {psi.shape[-1]}")
@@ -114,7 +120,7 @@ def partial_trace(psi, keep=("A", "B")):
     keep = tuple(keep)
     if len(keep) != 2 or keep[0] == keep[1]:
         raise ValueError(f"keep must name two distinct qubits, got {keep!r}")
-    t, norm2 = _state_tensor(psi)
+    t, norm2 = state_tensor(psi)
     pos = _resolve(keep)
     drop = next(i for i in range(3) if i not in pos)
     nb = t.ndim - 3
@@ -126,7 +132,7 @@ def partial_trace(psi, keep=("A", "B")):
 
 def partial_trace_single(psi, keep="A"):
     """Reduced 2x2 density matrix of one kept qubit of a pure state."""
-    t, norm2 = _state_tensor(psi)
+    t, norm2 = state_tensor(psi)
     (pos,) = _resolve((keep,))
     rest = [i for i in range(3) if i != pos]
     nb = t.ndim - 3

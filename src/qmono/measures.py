@@ -1,7 +1,28 @@
-"""Entanglement measures for two-qubit mixed states and three-qubit pure states.
+"""Entanglement measures for pure three-qubit states and two-qubit mixed states.
 
-The central quantity is the Wootters concurrence of a two-qubit density
-matrix rho.  With the spin-flipped matrix
+Pure three-qubit states, which every report is about, need no eigensolver:
+each reported quantity is a polynomial in the amplitudes divided by a
+power of <psi|psi>.  Read the amplitudes of a qubit pair (X, Y) at value
+k of the traced qubit Z as a two-qubit vector m_k, so that rho_XY =
+sum_k m_k m_k^dag / <psi|psi>, and let
+
+    G_kl = m_k^T (sigma_y x sigma_y) m_l      (a symmetric 2x2 matrix).
+
+* Tr(rho_XY rho_tilde_XY) = sum_kl |G_kl|^2 / <psi|psi>^2.
+* det G is minus Cayley's hyperdeterminant of the amplitude tensor, so the
+  residual tangle is tau = 4 |det G| / <psi|psi>^2 (Coffman, Kundu and
+  Wootters, PRA 61, 052306).  It is always taken from the G of the pair
+  (A, B), which makes it the same number, bit for bit, at every pivot.
+* rho_XY has rank two, so the lambda spectrum below has lambda_3 =
+  lambda_4 = 0 and lambda_1 lambda_2 = tau / 4, which gives C^2_XY =
+  (lambda_1 - lambda_2)^2 = Tr(rho_XY rho_tilde_XY) - tau / 2.
+* C^2_X(YZ) = 2 (1 - Tr rho_X^2) comes from the one-qubit purity.
+
+The three add up to the closure C^2_X(YZ) = C^2_XY + C^2_XZ + tau up to
+roundoff, because the two pair traces Tr(rho rho_tilde) sum to C^2_X(YZ).
+
+Two-qubit mixed states go through the Wootters concurrence.  With the
+spin-flipped matrix
 
     rho_tilde = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)
 
@@ -9,12 +30,9 @@ and lambda_1 >= ... >= lambda_4 the square roots of the eigenvalues of
 rho rho_tilde, the concurrence is max(lambda_1 - lambda_2 - lambda_3 -
 lambda_4, 0).  Although rho rho_tilde is not Hermitian, its spectrum
 equals that of the Hermitian matrix S = sqrt(rho) rho_tilde sqrt(rho), so
-all eigensolves here stay Hermitian.
-
-For a pure three-qubit state the remaining measures follow from reduced
-density matrices: the bipartition concurrence C_X(YZ) = sqrt(2 (1 -
-Tr rho_X^2)) and the residual tangle tau = C^2_X(YZ) - C^2_XY - C^2_XZ,
-which also equals 4 lambda_1 lambda_2 of either pair marginal.
+the eigensolves of this route (linalg's Jacobi solver) stay Hermitian.
+It also serves as the independent check of the pure-state route:
+residual_tangle_lambda gives tau as 4 lambda_1 lambda_2 of one marginal.
 
 All functions accept stacked inputs along leading axes.
 """
@@ -25,12 +43,14 @@ import numpy as np
 
 from .linalg import (
     QUBIT_LABELS,
+    QUBIT_POSITION,
     SPIN_FLIP_4,
     SIGMA_Y,
     hermitian_eigensystem,
     hermitian_eigenvalues,
     partial_trace,
     partial_trace_single,
+    state_tensor,
 )
 
 __all__ = [
@@ -40,6 +60,7 @@ __all__ = [
     "concurrence_mixed",
     "concurrence_pure_2q",
     "concurrence_bipartition",
+    "pure_state_invariants",
     "residual_tangle",
     "residual_tangle_lambda",
     "trace_rho_rhotilde",
@@ -56,8 +77,10 @@ PSD_TOL = 1e-10
 # lambda_i is treated as zero when lambda_1 * lambda_i is below this
 # floor.  The product form matters: lambda_1 lambda_2 = tau / 4 for every
 # pair marginal of the same pure state, so the decision is consistent
-# across pairs and pivots, and genuine spectra are untouched unless the
-# state is within ~1e-6 of the tau = 0 manifold.
+# across pairs and pivots.  The price is that a marginal of a pure state
+# within ~1e-6 of the tau = 0 manifold reads as tau = 0 here, which is
+# why reports use pure_state_invariants instead.  Rank-1 inputs (pure
+# two-qubit projectors) rely on the floor to come out exact.
 LAMBDA_NOISE_FLOOR = 3e-7
 
 
@@ -173,13 +196,57 @@ def pivot_pairs(pivot):
     return (pivot, rest[0]), (pivot, rest[1])
 
 
+def _flip_form(t, traced):
+    """(G_00, G_01, G_11) of the pair left after tracing qubit axis `traced`.
+
+    G_kl = m_k^T (sigma_y x sigma_y) m_l, with m_k the pair amplitudes at
+    value k of the traced qubit read as a 2x2 matrix; G_kk = -2 det m_k.
+    The form is symmetric in the two kept qubits, so their order is moot.
+    """
+    a = np.moveaxis(t, t.ndim - 3 + traced, -1)
+    m0, m1 = a[..., 0], a[..., 1]
+
+    def form(u, v):
+        return (u[..., 0, 1] * v[..., 1, 0] + u[..., 1, 0] * v[..., 0, 1]
+                - u[..., 0, 0] * v[..., 1, 1] - u[..., 1, 1] * v[..., 0, 0])
+
+    return form(m0, m0), form(m0, m1), form(m1, m1)
+
+
+def _abs2(z):
+    return z.real * z.real + z.imag * z.imag
+
+
+def pure_state_invariants(psi, pivot="A"):
+    """Pre-clamp (C^2_XY, C^2_XZ, C^2_X(YZ), tau) of pure three-qubit states.
+
+    X is the pivot and Y, Z its partners in label order.  tau is 4 |Det|
+    (Cayley's hyperdeterminant) and C^2_XY = Tr(rho_XY rho_tilde_XY) -
+    tau / 2, both divided by <psi|psi>^2; C^2_X(YZ) is 2 (1 - Tr rho_X^2).
+    No value is clamped: roundoff can leave a C^2 slightly below 0.
+    """
+    pair1, pair2 = pivot_pairs(pivot)
+    t, norm2 = state_tensor(psi)
+    norm4 = norm2 * norm2
+    # the pair (X, Y) traces out Z and the pair (X, Z) traces out Y
+    forms = {q: _flip_form(t, QUBIT_POSITION[q]) for q in {pair1[1], pair2[1], "C"}}
+    g00, g01, g11 = forms["C"]
+    tau = 4.0 * np.abs(g01 * g01 - g00 * g11) / norm4
+
+    def c2_pair(traced):
+        g00, g01, g11 = forms[traced]
+        return (_abs2(g00) + 2.0 * _abs2(g01) + _abs2(g11)) / norm4 - tau / 2.0
+
+    return c2_pair(pair2[1]), c2_pair(pair1[1]), bipartition_c2_raw(psi, pivot), tau
+
+
 def residual_tangle(psi, pivot="A"):
-    """tau = C^2_X(YZ) - C^2_XY - C^2_XZ, clamped to [0, 1]."""
-    (pair1, pair2) = pivot_pairs(pivot)
-    c2_bip = concurrence_bipartition(psi, pivot) ** 2
-    c2_1 = concurrence_mixed(partial_trace(psi, pair1)) ** 2
-    c2_2 = concurrence_mixed(partial_trace(psi, pair2)) ** 2
-    return np.clip(c2_bip - c2_1 - c2_2, 0.0, 1.0)
+    """tau = C^2_X(YZ) - C^2_XY - C^2_XZ = 4 |Det| / <psi|psi>^2, clamped to [0, 1].
+
+    Computed by pure_state_invariants, so it is identical at every pivot;
+    the pivot is still checked.
+    """
+    return np.clip(pure_state_invariants(psi, pivot)[3], 0.0, 1.0)
 
 
 def residual_tangle_lambda(psi, pair=("A", "B")):

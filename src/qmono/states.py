@@ -47,6 +47,14 @@ _CANONICAL_A_INDICES = (0, 1, 4, 6, 7)
 _CANONICAL_B_INDICES = (0, 1, 2, 4, 7)
 
 
+def _check_seed(seed) -> int:
+    """The seed as an int, rejected unless it fits in an unsigned 64-bit integer."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 class RngState:
     """Deterministic PCG64 stream addressed by (seed, stream index).
 
@@ -58,13 +66,10 @@ class RngState:
     """
 
     def __init__(self, seed: int, index: int | None = None):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = seed
+        self.seed = _check_seed(seed)
         self.index = index
         key = () if index is None else (int(index),)
-        seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def stream(self, index: int) -> "RngState":
@@ -181,11 +186,12 @@ def sample_haar_batch(seed: int, n: int) -> np.ndarray:
     """n Haar samples, one independent stream per index, shape (n, 8).
 
     Equivalent to stacking sample_haar(RngState(seed, i)) for i in range(n)
-    but drawn in one vectorized pass.
+    but drawn in one vectorized pass; rejects the same seeds as RngState.
     """
+    seed = _check_seed(seed)
     n = int(n)
     gens = [np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=int(seed), spawn_key=(i,)))) for i in range(n)]
+        np.random.SeedSequence(entropy=seed, spawn_key=(i,)))) for i in range(n)]
     u = np.stack([g.random(16) for g in gens])
     u1 = 1.0 - u[:, 0::2]
     u2 = u[:, 1::2]

@@ -107,6 +107,14 @@ class TestEnsemble:
                  "--format", "json"])
         assert len(json.loads(out.read_text())) == 2
 
+    @pytest.mark.parametrize("family", ["haar", "canonical-a"])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, family):
+        out = tmp_path / "runs.csv"
+        assert run_cli(["ensemble", "--family", family, "--n", "3",
+                        "--seed", str(2**64), "--out", str(out)]) == 2
+        assert "unsigned 64-bit" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invariant_violation_exits_3_but_writes(self, tmp_path, capsys, monkeypatch):
         real = experiments.run_ensemble
 

@@ -90,6 +90,21 @@ class TestRunEnsemble:
         b, _ = experiments.run_ensemble(small_config(seed=6))
         assert a != b
 
+    def test_classifies_once_per_table(self, monkeypatch):
+        calls = []
+        real = experiments.classify_gaps
+
+        def counting(gaps, tol):
+            calls.append(np.shape(gaps))
+            return real(gaps, tol)
+
+        monkeypatch.setattr(experiments, "classify_gaps", counting)
+        rows, _ = experiments.run_ensemble(small_config())
+        experiments.run_scan("bell-product", -0.5, 1.0, 7)
+        assert calls == [(20,), (5,)]
+        want = real(np.array([r["gap_tight"] for r in rows]), experiments.SATURATION_TOL)
+        assert [r["class"] for r in rows] == list(want)
+
     def test_summary_gap_stats(self):
         rows, summary = experiments.run_ensemble(small_config())
         gaps = sorted(r["gap_tight"] for r in rows)

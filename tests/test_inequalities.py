@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmono import inequalities, states
+from qmono import inequalities, measures, states
 
 from conftest import random_pure_state
 
@@ -145,3 +145,88 @@ class TestProperties:
         asym = np.abs(table["c2_ab"] - table["c2_ac"])
         small_gap = table["gap_tight"] < np.median(table["gap_tight"])
         assert np.median(asym[small_gap]) < np.median(asym[~small_gap])
+
+
+class TestInvariantRoute:
+    """Reports come from polynomial invariants, not from the lambda spectrum."""
+
+    def test_no_eigensolve(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pure-state reports must not call the eigensolver")
+
+        monkeypatch.setattr(measures, "hermitian_eigensystem", refuse)
+        monkeypatch.setattr(measures, "hermitian_eigenvalues", refuse)
+        psis = random_pure_state(rng, 8, batch=(8,))
+        for pivot in ("A", "B", "C"):
+            inequalities.monogamy_table(psis, pivot)
+            inequalities.build_report(psis[0], pivot)
+
+    def test_small_tau_survives(self):
+        # W + 3e-7 GHZ has tau = 6.5319726474206302e-7 (50-digit arithmetic);
+        # the lambda-spectrum noise floor used to read it as roundoff.
+        psi = states.make_w() + 3e-7 * states.make_ghz()
+        psi = psi / np.linalg.norm(psi)
+        for pivot in ("A", "B", "C"):
+            r = inequalities.build_report(psi, pivot)
+            assert r.tau == pytest.approx(6.531972647420629e-7, rel=1e-12)
+            assert r.raw_unclamped["tau"] == r.tau
+
+    def test_bell_pair_product_has_exact_zero_bound(self):
+        # C_AB = 1 and C_AC = tau = 0 exactly, so the tight RHS has no
+        # roundoff under its square root.
+        psi = states.make_bell_product(1.0)
+        for pivot in ("A", "B", "C"):
+            r = inequalities.build_report(psi, pivot)
+            assert r.tau == 0.0
+            assert r.rhs_tight == 0.0
+        for pivot in ("A", "B"):
+            assert inequalities.build_report(psi, pivot).gap_tight == 1.0
+
+    def test_tau_is_bitwise_pivot_invariant(self):
+        psis = states.sample_haar_batch(3, 1000)
+        taus = [inequalities.monogamy_table(psis, pivot)["tau"] for pivot in ("A", "B", "C")]
+        np.testing.assert_array_equal(taus[0], taus[1])
+        np.testing.assert_array_equal(taus[0], taus[2])
+
+    def test_biseparable_tight_bound_is_roundoff_free(self):
+        # A Bell pair on AB times any state of C: C_AC = tau = 0, so the tight
+        # RHS at pivot A is 0.  Both come out as roundoff of either sign, and
+        # C^2_AC + tau/2 = Tr(rho_AC rho~_AC) keeps that roundoff out of the
+        # square root, where clamping each value first would leave ~1e-8.
+        bell = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        for theta, phi in ((0.3, 1.1), (1.2, 4.0), (2.5, 0.2)):
+            qubit = np.array([math.cos(theta), math.sin(theta) * np.exp(1j * phi)])
+            r = inequalities.build_report(np.kron(bell, qubit), "A")
+            assert r.rhs_tight <= 1e-15
+            assert r.gap_tight == pytest.approx(r.c2_abc, abs=1e-15)
+            assert r.raw_unclamped["c_ac"] ** 2 <= 1e-15
+
+    def test_raw_pair_concurrences_are_signed_roots(self):
+        r = inequalities.build_report(states.make_w(), "A")
+        assert r.raw_unclamped["c_ab"] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        bell = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        signs = []
+        for theta in np.linspace(0.1, 3.0, 10):
+            psi = np.kron(bell, np.array([math.cos(theta), math.sin(theta) * np.exp(1.1j)]))
+            r = inequalities.build_report(psi, "A")
+            raw = inequalities.monogamy_table(psi[None, :], "A")["raw_c2_ac"][0]
+            assert r.raw_unclamped["c_ac"] == math.copysign(math.sqrt(abs(raw)), raw)
+            assert r.c2_ac == max(raw, 0.0)
+            signs.append(raw < 0.0)
+        # roundoff pushes most of these pre-clamp C^2_AC below 0
+        assert any(signs)
+
+    def test_matches_lambda_route(self, rng):
+        psis = random_pure_state(rng, 8, batch=(50,))
+        for pivot in ("A", "B", "C"):
+            c2_ab, c2_ac, _, tau = measures.pure_state_invariants(psis, pivot)
+            pair1, pair2 = measures.pivot_pairs(pivot)
+            for pair, c2 in ((pair1, c2_ab), (pair2, c2_ac)):
+                rho = measures.partial_trace(psis, pair)
+                np.testing.assert_allclose(c2, measures.concurrence_mixed(rho) ** 2, atol=1e-10)
+            np.testing.assert_allclose(tau, measures.residual_tangle_lambda(psis, pair1),
+                                       atol=1e-9)
+
+    def test_rejects_unnormalized_state(self):
+        with pytest.raises(ValueError, match="normalized"):
+            inequalities.monogamy_table(2.0 * states.make_ghz()[None, :], "A")

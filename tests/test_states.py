@@ -105,6 +105,14 @@ class TestSampling:
         singles = np.stack([states.sample_haar(states.RngState(99, i)) for i in range(16)])
         np.testing.assert_array_equal(batch, singles)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_batch_rejects_seeds_like_rng_state(self, seed):
+        with pytest.raises(ValueError, match="unsigned 64-bit") as batch_err:
+            states.sample_haar_batch(seed, 3)
+        with pytest.raises(ValueError) as single_err:
+            states.RngState(seed, 0)
+        assert str(batch_err.value) == str(single_err.value)
+
     def test_canonical_sample_snapshot(self):
         spec = states.sample_canonical(states.RngState(2024, 0), "canonical-b")
         assert spec.p == CANONICAL_B_2024_0["p"]
