@@ -115,7 +115,7 @@ def cmd_ensemble(args) -> int:
     experiments.write_rows(args.out, rows, experiments.CSV_COLUMNS, args.format)
     _print_summary(summary)
     try:
-        experiments.validate_rows(rows, args.tol)
+        experiments.validate_rows(rows)
     except experiments.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -138,7 +138,7 @@ def cmd_scan(args) -> int:
         print(f"smallest |gap_tight| {abs(best['gap_tight']):.6e} at p1="
               f"{experiments.format_number(best['p1'])}")
     try:
-        experiments.validate_rows(rows, args.tol)
+        experiments.validate_rows(rows)
     except experiments.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -156,7 +156,7 @@ def cmd_figures(args) -> int:
     print(csv_path)
     print(svg_path)
     try:
-        experiments.validate_rows(rows, args.tol)
+        experiments.validate_rows(rows)
     except experiments.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

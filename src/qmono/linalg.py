@@ -2,9 +2,10 @@
 
 Everything here accepts stacked inputs: a matrix argument of shape
 (..., d, d) or a state vector of shape (..., 8) is processed along the
-leading axes in one vectorized pass.  The eigensolver is a cyclic Jacobi
-iteration specialized to complex Hermitian matrices, which is accurate and
-dependency-free at these dimensions.
+leading axes in one vectorized pass.  The Hermitian eigensolves are
+numpy's LAPACK drivers (eigh/eigvalsh), behind shape, finiteness and
+Hermiticity checks; a solver that fails to converge raises
+numpy.linalg.LinAlgError, a ValueError.
 """
 
 from __future__ import annotations
@@ -19,10 +20,6 @@ __all__ = [
     "SIGMA_Z",
     "SPIN_FLIP_2",
     "SPIN_FLIP_4",
-    "matmul",
-    "conjugate",
-    "adjoint",
-    "trace",
     "state_tensor",
     "partial_trace",
     "partial_trace_single",
@@ -42,11 +39,8 @@ SPIN_FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
 
 # Hermiticity acceptance threshold (max entrywise |m - m^dag|).
 HERMITIAN_TOL = 1e-10
-# Norm window accepted by the partial traces.
+# Norm window: every state entry point requires |norm(psi) - 1| <= NORM_TOL.
 NORM_TOL = 1e-6
-
-_JACOBI_SWEEP_CAP = 100
-_JACOBI_TOL = 1e-14
 
 
 def _as_matrix(m, name="matrix"):
@@ -58,32 +52,6 @@ def _as_matrix(m, name="matrix"):
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} contains non-finite entries")
     return a
-
-
-def matmul(a, b):
-    """Matrix product of two equally sized square matrices (stacked ok)."""
-    a = _as_matrix(a, "a")
-    b = _as_matrix(b, "b")
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    return a @ b
-
-
-def conjugate(m):
-    """Entrywise complex conjugate."""
-    return np.conj(np.asarray(m, dtype=np.complex128))
-
-
-def adjoint(m):
-    """Conjugate transpose (of the last two axes)."""
-    m = _as_matrix(m)
-    return np.conj(np.swapaxes(m, -1, -2))
-
-
-def trace(m):
-    """Sum of the diagonal (complex scalar, or stack thereof)."""
-    m = _as_matrix(m)
-    return np.trace(m, axis1=-2, axis2=-1)
 
 
 def state_tensor(psi):
@@ -148,74 +116,11 @@ def _check_hermitian(a, name):
         raise ValueError(f"{name} is not Hermitian (max |m - m^dag| = {dev:.3e})")
 
 
-def _jacobi(a, want_vectors):
-    """Cyclic complex Jacobi on a stack of Hermitian matrices.
-
-    Destroys `a`.  Returns (eigenvalues descending, vectors or None); the
-    k-th column of the vectors matches the k-th eigenvalue.
-    """
-    d = a.shape[-1]
-    v = None
-    if want_vectors:
-        v = np.zeros_like(a)
-        v[...] = np.eye(d)
-    for _ in range(_JACOBI_SWEEP_CAP):
-        off = np.abs(a) ** 2
-        off[..., range(d), range(d)] = 0.0
-        if np.sqrt(np.max(np.sum(off, axis=(-2, -1)))) < _JACOBI_TOL * d:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                z = a[..., p, q].copy()
-                az = np.abs(z)
-                live = az > 0.0
-                # indexed diagonals are views into `a`; copy before mutating
-                app = a[..., p, p].real.copy()
-                aqq = a[..., q, q].real.copy()
-                beta = np.angle(np.where(live, z, 1.0))
-                # overflow from a denormal |z| flows to the correct t = 0 limit
-                with np.errstate(over="ignore"):
-                    th = (aqq - app) / np.where(live, 2.0 * az, 1.0)
-                    t = np.sign(th) / (np.abs(th) + np.sqrt(1.0 + th * th))
-                t = np.where(th == 0.0, 1.0, t)
-                t = np.where(live, t, 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                e = np.exp(1j * beta)
-                se = (s * e)[..., None]
-                sec = (s * np.conj(e))[..., None]
-                cc = c[..., None]
-                colp = a[..., :, p].copy()
-                colq = a[..., :, q].copy()
-                a[..., :, p] = cc * colp - sec * colq
-                a[..., :, q] = se * colp + cc * colq
-                rowp = a[..., p, :].copy()
-                rowq = a[..., q, :].copy()
-                a[..., p, :] = cc * rowp - se * rowq
-                a[..., q, :] = sec * rowp + cc * rowq
-                a[..., p, p] = app - t * az
-                a[..., q, q] = aqq + t * az
-                a[..., p, q] = 0.0
-                a[..., q, p] = 0.0
-                if want_vectors:
-                    vp = v[..., :, p].copy()
-                    vq = v[..., :, q].copy()
-                    v[..., :, p] = cc * vp - sec * vq
-                    v[..., :, q] = se * vp + cc * vq
-    w = np.real(a[..., range(d), range(d)])
-    order = np.argsort(-w, axis=-1, kind="stable")
-    w = np.take_along_axis(w, order, axis=-1)
-    if want_vectors:
-        v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    return w, v
-
-
 def hermitian_eigenvalues(m):
     """Eigenvalues of a Hermitian matrix, descending, shape (..., d)."""
     a = _as_matrix(m)
     _check_hermitian(a, "matrix")
-    w, _ = _jacobi(a.copy(), want_vectors=False)
-    return w
+    return np.linalg.eigvalsh(a)[..., ::-1]
 
 
 def hermitian_eigensystem(m):
@@ -225,4 +130,5 @@ def hermitian_eigensystem(m):
     """
     a = _as_matrix(m)
     _check_hermitian(a, "matrix")
-    return _jacobi(a.copy(), want_vectors=True)
+    w, v = np.linalg.eigh(a)
+    return w[..., ::-1], v[..., ::-1]

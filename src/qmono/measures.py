@@ -30,7 +30,8 @@ and lambda_1 >= ... >= lambda_4 the square roots of the eigenvalues of
 rho rho_tilde, the concurrence is max(lambda_1 - lambda_2 - lambda_3 -
 lambda_4, 0).  Although rho rho_tilde is not Hermitian, its spectrum
 equals that of the Hermitian matrix S = sqrt(rho) rho_tilde sqrt(rho), so
-the eigensolves of this route (linalg's Jacobi solver) stay Hermitian.
+the eigensolves of this route (numpy's LAPACK eigh, through linalg) stay
+Hermitian.
 It also serves as the independent check of the pure-state route:
 residual_tangle_lambda gives tau as 4 lambda_1 lambda_2 of one marginal.
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    NORM_TOL,
     QUBIT_LABELS,
     QUBIT_POSITION,
     SPIN_FLIP_4,
@@ -162,7 +164,7 @@ def concurrence_pure_2q(psi4):
     if psi4.shape[-1] != 4:
         raise ValueError(f"need 4 amplitudes, got shape {psi4.shape}")
     norm = np.sqrt(np.sum(np.abs(psi4) ** 2, axis=-1))
-    if np.any(np.abs(norm - 1.0) > 1e-6):
+    if np.any(np.abs(norm - 1.0) > NORM_TOL):
         raise ValueError("state is not normalized within tolerance")
     psi4 = psi4 / norm[..., None]
     overlap = 2.0 * np.abs(psi4[..., 0] * psi4[..., 3] - psi4[..., 1] * psi4[..., 2])
@@ -176,9 +178,7 @@ def concurrence_pure_2q(psi4):
 
 def concurrence_bipartition(psi, pivot="A"):
     """C_X(YZ) = sqrt(2 (1 - Tr rho_X^2)) across the cut pivot | rest."""
-    rho = partial_trace_single(psi, pivot)
-    purity = np.real(np.einsum("...ij,...ji->...", rho, rho))
-    return np.clip(np.sqrt(np.maximum(2.0 * (1.0 - purity), 0.0)), 0.0, 1.0)
+    return np.clip(np.sqrt(np.maximum(bipartition_c2_raw(psi, pivot), 0.0)), 0.0, 1.0)
 
 
 def bipartition_c2_raw(psi, pivot="A"):

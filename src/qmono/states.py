@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import NORM_TOL
+
 __all__ = [
     "FAMILIES",
     "RngState",
@@ -38,8 +40,6 @@ __all__ = [
 
 FAMILIES = ("ghz", "w", "bell-product", "canonical-a", "canonical-b", "haar")
 
-# Accepted norm window before validate() rejects the input.
-NORM_WINDOW = 1e-6
 # Canonical parameter normalization tolerance on sum(p_i^2).
 PARAM_NORM_TOL = 1e-12
 
@@ -53,6 +53,17 @@ def _check_seed(seed) -> int:
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
     return seed
+
+
+def _box_muller(u):
+    """Box-Muller on uniforms paired along the last axis: (r cos, r sin).
+
+    Even positions give the radius and odd ones the angle of each pair.
+    """
+    # 1 - u maps the uniform support [0, 1) onto (0, 1] so log() is safe
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
+    angle = 2.0 * np.pi * u[..., 1::2]
+    return r * np.cos(angle), r * np.sin(angle)
 
 
 class RngState:
@@ -83,14 +94,10 @@ class RngState:
     def gaussians(self, n: int) -> np.ndarray:
         """n standard normal doubles via Box-Muller, two uniforms per pair."""
         pairs = (int(n) + 1) // 2
-        u = self._gen.random(2 * pairs)
-        # 1 - u maps the uniform support [0, 1) onto (0, 1] so log() is safe
-        u1 = 1.0 - u[0::2]
-        u2 = u[1::2]
-        r = np.sqrt(-2.0 * np.log(u1))
+        g0, g1 = _box_muller(self._gen.random(2 * pairs))
         out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(2.0 * np.pi * u2)
-        out[1::2] = r * np.sin(2.0 * np.pi * u2)
+        out[0::2] = g0
+        out[1::2] = g1
         return out[: int(n)]
 
 
@@ -102,7 +109,7 @@ def validate(psi) -> np.ndarray:
     if not np.all(np.isfinite(psi)):
         raise ValueError("state contains non-finite amplitudes")
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORM_WINDOW:
+    if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state norm {norm!r} outside accepted window")
     return psi / norm
 
@@ -192,12 +199,7 @@ def sample_haar_batch(seed: int, n: int) -> np.ndarray:
     n = int(n)
     gens = [np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(i,)))) for i in range(n)]
-    u = np.stack([g.random(16) for g in gens])
-    u1 = 1.0 - u[:, 0::2]
-    u2 = u[:, 1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    g0 = r * np.cos(2.0 * np.pi * u2)
-    g1 = r * np.sin(2.0 * np.pi * u2)
+    g0, g1 = _box_muller(np.stack([g.random(16) for g in gens]))
     psi = g0 + 1j * g1
     return psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1))[:, None]
 

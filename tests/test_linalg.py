@@ -5,23 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmono import linalg
+from qmono import linalg, measures, states
 
 from conftest import random_hermitian, random_pure_state
 
 
+@pytest.mark.parametrize("check, dim", [
+    (linalg.state_tensor, 8),
+    (states.validate, 8),
+    (measures.concurrence_pure_2q, 4),
+], ids=["state_tensor", "validate", "concurrence_pure_2q"])
+@pytest.mark.parametrize("excess, accepted", [
+    (0.9e-6, True), (-0.9e-6, True), (1.1e-6, False), (-1.1e-6, False),
+])
+def test_one_norm_window(rng, check, dim, excess, accepted):
+    psi = random_pure_state(rng, dim) * (1.0 + excess)
+    if accepted:
+        check(psi)
+    else:
+        with pytest.raises(ValueError, match="norm"):
+            check(psi)
+
+
 class TestBasics:
-    def test_adjoint_conjugate_trace(self, rng):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        np.testing.assert_allclose(linalg.adjoint(m), m.conj().T)
-        np.testing.assert_allclose(linalg.conjugate(m), m.conj())
-        assert linalg.trace(m) == pytest.approx(np.trace(m))
-
-    def test_matmul_matches_numpy(self, rng):
-        a = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        b = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        np.testing.assert_allclose(linalg.matmul(a, b), a @ b)
-
     def test_rejects_unsupported_dimension(self):
         with pytest.raises(ValueError):
             linalg._as_matrix(np.eye(3))
@@ -62,6 +68,17 @@ class TestEigen:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         with pytest.raises(ValueError):
             linalg.hermitian_eigenvalues(a)
+
+    @pytest.mark.parametrize("solve", [linalg.hermitian_eigenvalues, linalg.hermitian_eigensystem])
+    @pytest.mark.parametrize("bad, reason", [
+        (np.full((4, 4), np.inf), "non-finite"),
+        (np.eye(3), "dimension"),
+        (np.ones((4, 2)), "square"),
+        (np.ones(4), "square"),
+    ], ids=["non-finite", "dimension-3", "not-square", "vector"])
+    def test_rejects_bad_input_before_solving(self, solve, bad, reason):
+        with pytest.raises(ValueError, match=reason):
+            solve(bad)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qmono import linalg, measures, states
 
-from conftest import random_pure_state
+from conftest import random_density, random_pure_state
 
 
 def bell_psi_minus():
@@ -78,6 +78,19 @@ class TestLambdaSpectrum:
             lam = measures.lambda_spectrum(rho)
             assert np.all(np.diff(lam) <= 1e-12)
             assert np.sum(lam**2) == pytest.approx(measures.trace_rho_rhotilde(rho), abs=1e-10)
+
+    def test_matches_non_hermitian_route(self, rng):
+        # square roots of the eigenvalues of rho rho_tilde itself, from the
+        # general (non-Hermitian) solver, which shares no code with eigh
+        rho = random_density(rng, 4, batch=(200,))
+        sy_sy = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
+        ev = np.linalg.eigvals(rho @ sy_sy @ np.conj(rho) @ sy_sy)
+        want = np.sqrt(np.maximum(np.sort(ev.real, axis=-1)[:, ::-1], 0.0))
+        # the noise floor zeroes trailing lambdas; keep the full-rank ones
+        above = want[:, 0] * want[:, 3] > 10.0 * measures.LAMBDA_NOISE_FLOOR
+        assert above.sum() >= 150
+        got = measures.lambda_spectrum(rho[above])
+        np.testing.assert_allclose(got, want[above], atol=1e-8, rtol=0)
 
     def test_rejects_negative_spectrum(self):
         rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
