@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__, experiments, states, svgplot
 from .inequalities import SATURATION_TOL, build_report, classify
@@ -111,11 +114,11 @@ def cmd_ensemble(args) -> int:
     config = experiments.EnsembleConfig(family=args.family, count=args.n,
                                         seed=args.seed, pivot=args.pivot,
                                         tolerance=args.tol)
-    rows, summary = experiments.run_ensemble(config)
-    experiments.write_rows(args.out, rows, experiments.CSV_COLUMNS, args.format)
+    table, summary = experiments.run_ensemble(config)
+    experiments.write_rows(args.out, table, experiments.CSV_COLUMNS, args.format)
     _print_summary(summary)
     try:
-        experiments.validate_rows(rows)
+        experiments.validate_rows(table)
     except experiments.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -127,18 +130,20 @@ def cmd_scan(args) -> int:
         raise ValueError(f"only p1 scans are supported, got {args.param!r}")
     fixed = {"p2": args.p2, "p3": args.p3, "p4": args.p4, "theta": args.theta}
     fixed = {k: v for k, v in fixed.items() if v is not None}
-    rows = experiments.run_scan(args.family, args.lo, args.hi, args.steps,
-                                pivot=args.pivot, tolerance=args.tol, fixed=fixed)
-    experiments.write_rows(args.out, rows, experiments.SCAN_COLUMNS, args.format)
-    feasible = [r for r in rows if r["note"] == ""]
-    print(f"family={args.family} steps={args.steps} feasible={len(feasible)} "
-          f"skipped={len(rows) - len(feasible)}")
-    if feasible:
-        best = min(feasible, key=lambda r: abs(r["gap_tight"]))
-        print(f"smallest |gap_tight| {abs(best['gap_tight']):.6e} at p1="
-              f"{experiments.format_number(best['p1'])}")
+    table = experiments.run_scan(args.family, args.lo, args.hi, args.steps,
+                                 pivot=args.pivot, tolerance=args.tol, fixed=fixed)
+    experiments.write_rows(args.out, table, experiments.SCAN_COLUMNS, args.format)
+    feasible = table["feasible"]
+    count = int(np.count_nonzero(feasible))
+    print(f"family={args.family} steps={args.steps} feasible={count} "
+          f"skipped={len(feasible) - count}")
+    if count:
+        gaps = np.abs(table["gap_tight"][feasible])
+        best = int(np.argmin(gaps))
+        print(f"smallest |gap_tight| {gaps[best]:.6e} at p1="
+              f"{experiments.format_number(table['p1'][feasible][best])}")
     try:
-        experiments.validate_rows(rows)
+        experiments.validate_rows(table)
     except experiments.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -146,17 +151,17 @@ def cmd_scan(args) -> int:
 
 
 def cmd_figures(args) -> int:
-    rows, columns, series, title, xlabel = experiments.run_figure(
+    table, columns, series, title, xlabel = experiments.run_figure(
         args.which, args.seed, n=args.n, pivot=args.pivot, tolerance=args.tol)
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, f"fig{args.which}.csv")
     svg_path = os.path.join(args.out_dir, f"fig{args.which}.svg")
-    experiments.write_rows(csv_path, rows, columns, "csv")
+    experiments.write_rows(csv_path, table, columns, "csv")
     svgplot.render_svg(svg_path, title, xlabel, "squared concurrence", series)
     print(csv_path)
     print(svg_path)
     try:
-        experiments.validate_rows(rows)
+        experiments.validate_rows(table)
     except experiments.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -167,7 +172,8 @@ def cmd_discrepancy(args) -> int:
     family = {"a": "canonical-a", "b": "canonical-b"}.get(args.family, args.family)
     rows = experiments.run_discrepancy(family, n=args.n, seed=args.seed)
     if args.out is not None:
-        experiments.write_rows(args.out, rows, _DISCREPANCY_COLUMNS, "csv")
+        table = {c: np.array([r[c] for r in rows]) for c in _DISCREPANCY_COLUMNS}
+        experiments.write_rows(args.out, table, _DISCREPANCY_COLUMNS, "csv")
     if args.format == "json":
         print(json.dumps(rows, indent=1))
         return EXIT_OK
@@ -190,7 +196,13 @@ def _add_common(sub, pivot=True, tol=True, fmt=True):
                          help="machine output format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call and shared by later ones.
+
+    Parsing leaves the tree unchanged (each call fills a fresh namespace),
+    so one process pays for building it once.
+    """
     parser = _Parser(prog="qmono",
                      description="Concurrence monogamy bounds for pure three-qubit states.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")

@@ -1,23 +1,28 @@
 """Batch runners behind the CLI: ensembles, parameter scans, figure data,
 and the closed-form discrepancy audit.
 
-Every runner returns plain row dicts using one fixed CSV schema so all
-outputs stay interchangeable for downstream plotting.  Numbers are
-serialized with 17 significant digits (round-trip exact for doubles) and
-rows are re-validated against the report invariants on write.
+Every runner returns one columnar table: a dict of equal-length numpy
+arrays keyed by column name, from the sampler through the monogamy table
+to the writer, with no per-row Python on the way.  A column the table
+lacks is written empty in every row (the parameters of a Haar ensemble,
+say).  A scan table also carries a boolean `feasible` entry: a grid point
+with no state keeps only its index, family and note.  Serialization uses
+one fixed CSV schema so all outputs stay interchangeable for downstream
+plotting; numbers are written with 17 significant digits (round-trip
+exact for doubles) and the tables are re-validated against the report
+invariants by array reductions.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_forms, states, svgplot
 from .inequalities import SATURATION_TOL, classify_gaps, monogamy_table
+from .states import _first_failure
 
 __all__ = [
     "CSV_COLUMNS",
@@ -31,6 +36,7 @@ __all__ = [
     "summarize",
     "validate_rows",
     "write_rows",
+    "records",
     "format_number",
 ]
 
@@ -42,6 +48,11 @@ CSV_COLUMNS = [
 SCAN_COLUMNS = CSV_COLUMNS + ["note"]
 
 _METRIC_KEYS = ("c2_ab", "c2_ac", "c2_abc", "tau", "rhs_fei", "rhs_tight", "gap_fei", "gap_tight")
+_PARAM_KEYS = ("p1", "p2", "p3", "p4", "p5")
+# The cells an infeasible scan point keeps.
+_INFEASIBLE_KEEPS = ("index", "family", "note")
+# Rows formatted per string operation when writing CSV.
+WRITE_BLOCK_ROWS = 4096
 
 # Fixed coefficients of the canonical-a parameter-sweep slice.
 SWEEP_DEFAULTS = {"p2": 0.17, "p3": 0.16, "p4": 0.15, "theta": 0.0}
@@ -80,63 +91,59 @@ def format_number(value) -> str:
     return format(float(value), ".17g")
 
 
-def _metric_fields(table, labels, i):
-    """Metric columns of row i; `labels` is classify_gaps of the whole table."""
-    row = {k: float(table[k][i]) for k in _METRIC_KEYS}
-    row["class"] = str(labels[i])
-    return row
+def _length(table) -> int:
+    return len(next(iter(table.values()), ()))
+
+
+def _feasible(table) -> np.ndarray:
+    return table.get("feasible", np.ones(_length(table), dtype=bool))
+
+
+def _metric_columns(psis, pivot, tolerance) -> dict:
+    """The metric columns and the class labels of a stack of states."""
+    table = monogamy_table(psis, pivot)
+    cols = {k: table[k] for k in _METRIC_KEYS}
+    cols["class"] = classify_gaps(table["gap_tight"], tolerance)
+    return cols
 
 
 def _ensemble_states(config: EnsembleConfig):
-    """States plus per-row parameter columns for each supported family."""
-    n = config.count
-    empty = {k: "" for k in ("p1", "p2", "p3", "p4", "p5", "theta")}
+    """States plus the parameter columns the family has."""
+    n, seed = config.count, config.seed
     if config.family == "haar":
-        return states.sample_haar_batch(config.seed, n), [dict(empty) for _ in range(n)]
+        return states.sample_haar_batch(seed, n), {}
     if config.family in ("canonical-a", "canonical-b"):
-        specs = [states.sample_canonical(states.RngState(config.seed, i), config.family)
-                 for i in range(n)]
-        psis = np.stack([s.build() for s in specs])
-        params = [{"p1": s.p[0], "p2": s.p[1], "p3": s.p[2], "p4": s.p[3],
-                   "p5": s.p[4], "theta": s.theta} for s in specs]
-        return psis, params
+        p, theta = states.sample_canonical_batch(seed, n, config.family)
+        maker = states.make_canonical_a if config.family == "canonical-a" else states.make_canonical_b
+        return maker(p, theta), {**dict(zip(_PARAM_KEYS, p.T)), "theta": theta}
     if config.family == "bell-product":
-        p1s = [float(states.RngState(config.seed, i).uniforms(1)[0]) for i in range(n)]
-        psis = np.stack([states.make_bell_product(p) for p in p1s])
-        params = [dict(empty, p1=p, p2=1.0 - p) for p in p1s]
-        return psis, params
+        p1 = states.uniforms(seed, np.arange(n, dtype=np.uint64), 1)[:, 0]
+        return states.make_bell_product(p1), {"p1": p1, "p2": 1.0 - p1}
     builder = states.make_ghz if config.family == "ghz" else states.make_w
-    return np.stack([builder()] * n), [dict(empty) for _ in range(n)]
+    return np.tile(builder(), (n, 1)), {}
 
 
 def run_ensemble(config: EnsembleConfig):
-    """Sample the family and report every state; returns (rows, summary)."""
+    """Sample the family and report every state; returns (table, summary)."""
     psis, params = _ensemble_states(config)
-    table = monogamy_table(psis, config.pivot)
-    labels = classify_gaps(table["gap_tight"], config.tolerance)
-    rows = []
-    for i in range(config.count):
-        row = {"index": i, "family": config.family, **params[i],
-               **_metric_fields(table, labels, i)}
-        rows.append(row)
-    return rows, summarize(rows, config)
+    table = {"index": np.arange(config.count), "family": np.full(config.count, config.family),
+             **params, **_metric_columns(psis, config.pivot, config.tolerance)}
+    return table, summarize(table, config)
 
 
-def summarize(rows, config: EnsembleConfig) -> dict:
+def summarize(table, config: EnsembleConfig) -> dict:
     """Distribution summary of the gaps plus classification counts."""
-    gf = np.array([r["gap_fei"] for r in rows], dtype=np.float64)
-    gt = np.array([r["gap_tight"] for r in rows], dtype=np.float64)
-    classes = [r["class"] for r in rows]
+    gf, gt, labels = table["gap_fei"], table["gap_tight"], table["class"]
     return {
         "family": config.family,
-        "count": len(rows),
+        "count": len(gf),
         "seed": config.seed,
         "pivot": config.pivot,
         "tolerance": config.tolerance,
         "gap_fei": {"min": float(gf.min()), "median": float(np.median(gf)), "max": float(gf.max())},
         "gap_tight": {"min": float(gt.min()), "median": float(np.median(gt)), "max": float(gt.max())},
-        "saturated": classes.count("saturated"),
-        "violated": classes.count("violated"),
+        "saturated": int(np.count_nonzero(labels == "saturated")),
+        "violated": int(np.count_nonzero(labels == "violated")),
     }
 
 
@@ -146,44 +153,40 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
     For the canonical families the remaining coefficients are held fixed
     (defaults in SWEEP_DEFAULTS) and p5 is determined by normalization,
     which is the only way p1 and p5 can vary together over a rectangle
-    while the states stay normalized.
+    while the states stay normalized.  `feasible` marks the points with a
+    state; at the others the metric columns (and p5) hold NaN placeholders,
+    which no writer and no check reads.
     """
     if family not in ("bell-product", "canonical-a", "canonical-b"):
         raise ValueError(f"scan supports bell-product and canonical families, got {family!r}")
     if steps < 2:
         raise ValueError("steps must be at least 2")
     fixed = {**SWEEP_DEFAULTS, **(fixed or {})}
-    grid = np.linspace(float(lo), float(hi), int(steps))
-    rows = []
-    buildable = []
-    empty = {k: "" for k in ("p1", "p2", "p3", "p4", "p5", "theta")}
-    for i, p1 in enumerate(grid):
-        row = {"index": i, "family": family, **empty,
-               **{k: "" for k in _METRIC_KEYS}, "class": "", "note": ""}
-        if family == "bell-product":
-            if 0.0 <= p1 <= 1.0:
-                row.update(p1=float(p1), p2=1.0 - float(p1))
-                buildable.append((i, states.make_bell_product(p1)))
-            else:
-                row["note"] = "infeasible: p1 outside [0, 1]"
-        else:
-            p2, p3, p4 = fixed["p2"], fixed["p3"], fixed["p4"]
-            p5sq = 1.0 - p1 * p1 - p2 * p2 - p3 * p3 - p4 * p4
-            if p1 >= 0.0 and p5sq >= 0.0:
-                p5 = math.sqrt(p5sq)
-                p = (float(p1), p2, p3, p4, p5)
-                maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
-                row.update(p1=p[0], p2=p2, p3=p3, p4=p4, p5=p5, theta=fixed["theta"])
-                buildable.append((i, maker(p, fixed["theta"])))
-            else:
-                row["note"] = "infeasible: no normalized state for this p1"
-        rows.append(row)
-    if buildable:
-        table = monogamy_table(np.stack([psi for _, psi in buildable]), pivot)
-        labels = classify_gaps(table["gap_tight"], tolerance)
-        for j, (i, _) in enumerate(buildable):
-            rows[i].update(_metric_fields(table, labels, j))
-    return rows
+    n = int(steps)
+    grid = np.linspace(float(lo), float(hi), n)
+    if family == "bell-product":
+        ok = (0.0 <= grid) & (grid <= 1.0)
+        params = {"p1": grid, "p2": 1.0 - grid}
+        note = "infeasible: p1 outside [0, 1]"
+        psis = states.make_bell_product(grid[ok])
+    else:
+        p2, p3, p4 = fixed["p2"], fixed["p3"], fixed["p4"]
+        p5sq = 1.0 - grid * grid - p2 * p2 - p3 * p3 - p4 * p4
+        ok = (grid >= 0.0) & (p5sq >= 0.0)
+        params = {"p1": grid, "p2": np.full(n, p2, dtype=np.float64),
+                  "p3": np.full(n, p3, dtype=np.float64), "p4": np.full(n, p4, dtype=np.float64),
+                  "p5": np.sqrt(np.where(ok, p5sq, np.nan)),
+                  "theta": np.full(n, fixed["theta"], dtype=np.float64)}
+        note = "infeasible: no normalized state for this p1"
+        maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
+        psis = maker(np.stack([params[k][ok] for k in _PARAM_KEYS], axis=-1), params["theta"][ok])
+    table = {"index": np.arange(n), "family": np.full(n, family), **params,
+             **{k: np.full(n, np.nan) for k in _METRIC_KEYS},
+             "class": np.full(n, "", dtype=object), "note": np.where(ok, "", note), "feasible": ok}
+    if ok.any():
+        for key, values in _metric_columns(psis, pivot, tolerance).items():
+            table[key][ok] = values
+    return table
 
 
 _FIGURES = {
@@ -201,72 +204,132 @@ _SERIES_LABEL = {
 
 
 def run_figure(which, seed, n=100, pivot="A", tolerance=SATURATION_TOL):
-    """Rows plus SVG series for one of the four comparison figures.
+    """Table plus SVG series for one of the four comparison figures.
 
     Figures 1, 3, 4 plot ensemble samples against the sample index;
     figure 2 sweeps p1 with the other coefficients fixed and p5
-    determined by normalization.  Returns (rows, columns, series,
+    determined by normalization.  Returns (table, columns, series,
     title, xlabel).
     """
     if which not in _FIGURES:
         raise ValueError(f"figure must be one of {sorted(_FIGURES)}, got {which!r}")
     family, mode, keys = _FIGURES[which]
     if mode == "ensemble":
-        rows, _ = run_ensemble(EnsembleConfig(family=family, count=n, seed=seed,
-                                              pivot=pivot, tolerance=tolerance))
+        table, _ = run_ensemble(EnsembleConfig(family=family, count=n, seed=seed,
+                                               pivot=pivot, tolerance=tolerance))
         xlabel, columns, kind = "sample index", CSV_COLUMNS, "scatter"
         x_key = "index"
     else:
-        rows = run_scan(family, 0.4, 0.5, n, pivot=pivot, tolerance=tolerance)
+        table = run_scan(family, 0.4, 0.5, n, pivot=pivot, tolerance=tolerance)
         xlabel, columns, kind = "p1", SCAN_COLUMNS, "line"
         x_key = "p1"
-    usable = [r for r in rows if r.get("note", "") == ""]
-    xs = [r[x_key] for r in usable]
-    series = [svgplot.Series(_SERIES_LABEL[k], xs, [r[k] for r in usable], kind) for k in keys]
+    usable = _feasible(table)
+    xs = table[x_key][usable].tolist()
+    series = [svgplot.Series(_SERIES_LABEL[k], xs, table[k][usable].tolist(), kind) for k in keys]
     title = f"figure {which}: {family}, bound comparison at pivot {pivot}"
-    return rows, columns, series, title, xlabel
+    return table, columns, series, title, xlabel
 
 
-def validate_rows(rows):
-    """Re-check the report invariants on every complete row before writing.
+def validate_rows(table):
+    """Re-check the report invariants on every row that carries metrics.
 
     A row is violated when its class label says so; the label already
-    carries the tolerance the row was classified with.
+    carries the tolerance the row was classified with.  The first
+    offending row raises the message of its first failed check.
     """
-    for row in rows:
-        if row.get("note"):
-            continue
-        if row.get("c2_ab", "") == "":
-            continue
-        idx = row.get("index", "?")
-        closure = abs(row["c2_abc"] - (row["c2_ab"] + row["c2_ac"] + row["tau"]))
-        if closure > 1e-9:
-            raise InvariantViolation(f"row {idx}: tau closure off by {closure:.3e}")
-        if row["gap_tight"] > row["gap_fei"] + 1e-12:
-            raise InvariantViolation(f"row {idx}: tight gap exceeds the product-form gap")
-        for key in ("c2_ab", "c2_ac", "c2_abc", "tau"):
-            if not -1e-12 <= row[key] <= 1.0 + 1e-12:
-                raise InvariantViolation(f"row {idx}: {key} = {row[key]!r} outside [0, 1]")
-        if row["class"] == "violated":
-            raise InvariantViolation(
-                f"row {idx}: negative tight gap {row['gap_tight']:.3e} beyond tolerance")
+    if "c2_ab" not in table:
+        return
+    live = _feasible(table)
+    c2_ab, c2_ac, c2_abc, tau = (table[k] for k in ("c2_ab", "c2_ac", "c2_abc", "tau"))
+    gap_fei, gap_tight = table["gap_fei"], table["gap_tight"]
+    closure = np.abs(c2_abc - (c2_ab + c2_ac + tau))
+    checks = [(closure > 1e-9, lambda i: f"tau closure off by {closure[i]:.3e}"),
+              (gap_tight > gap_fei + 1e-12,
+               lambda i: "tight gap exceeds the product-form gap")]
+    for key in ("c2_ab", "c2_ac", "c2_abc", "tau"):
+        col = table[key]
+        checks.append((~((-1e-12 <= col) & (col <= 1.0 + 1e-12)),
+                       lambda i, key=key, col=col: f"{key} = {float(col[i])!r} outside [0, 1]"))
+    checks.append((table["class"] == "violated",
+                   lambda i: f"negative tight gap {gap_tight[i]:.3e} beyond tolerance"))
+    failure = _first_failure([(live & mask, message) for mask, message in checks])
+    if failure is not None:
+        row, message = failure
+        raise InvariantViolation(f"row {int(table['index'][row])}: {message}")
 
 
-def write_rows(path, rows, columns, fmt="csv"):
-    """Serialize rows to CSV (17 significant digits) or JSON."""
+def _csv_field(text: str) -> str:
+    """One string cell as the csv module's minimal quoting writes it."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_cells(col) -> np.ndarray:
+    """A column ready for %-formatting: numbers as they are, strings quoted."""
+    if col.dtype.kind in "iuf":
+        return col
+    values, inverse = np.unique(col, return_inverse=True)
+    return np.array([_csv_field(str(v)) for v in values], dtype=object)[inverse.reshape(-1)]
+
+
+def _csv_template(table, columns, keep) -> tuple[str, list[str]]:
+    """The %-format of one CSV row writing the columns in `keep`, and those columns."""
+    fields, written = [], []
+    for c in columns:
+        if c in keep:
+            kind = table[c].dtype.kind
+            fields.append("%d" if kind in "iu" else "%.17g" if kind == "f" else "%s")
+            written.append(c)
+        else:
+            fields.append("")
+    return ",".join(fields) + "\n", written
+
+
+def _csv_blocks(table, columns):
+    """The CSV body in blocks of at most WRITE_BLOCK_ROWS rows, one template per run."""
+    n = _length(table)
+    feasible = _feasible(table)
+    present = [c for c in columns if c in table]
+    layouts = {True: _csv_template(table, columns, present),
+               False: _csv_template(table, columns,
+                                    [c for c in present if c in _INFEASIBLE_KEEPS])}
+    cells = {c: _csv_cells(np.asarray(table[c])) for c in present}
+    changes = (np.flatnonzero(feasible[1:] != feasible[:-1]) + 1).tolist()
+    starts = sorted(set(range(0, n, WRITE_BLOCK_ROWS)).union(changes))
+    for a, b in zip(starts, starts[1:] + [n]):
+        template, written = layouts[bool(feasible[a])]
+        block = np.empty((b - a, len(written)), dtype=object)
+        for j, c in enumerate(written):
+            block[:, j] = cells[c][a:b]
+        yield (template * (b - a)) % tuple(block.reshape(-1).tolist())
+
+
+def records(table, columns) -> list[dict]:
+    """The table as one dict per row, in column order, empty cells as ""."""
+    feasible = _feasible(table).tolist()
+    cols = [(c, np.asarray(table[c]).tolist() if c in table else None) for c in columns]
+    return [{c: v[i] if v is not None and (ok or c in _INFEASIBLE_KEEPS) else "" for c, v in cols}
+            for i, ok in enumerate(feasible)]
+
+
+def write_rows(path, table, columns, fmt="csv"):
+    """Serialize a table to CSV (17 significant digits) or JSON.
+
+    CSV is formatted from one row template per block of rows, so the text
+    of a large table never exists in memory whole.
+    """
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be csv or json, got {fmt!r}")
     if fmt == "json":
-        payload = [{c: row.get(c, "") for c in columns} for row in rows]
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(records(table, columns), fh, indent=1)
             fh.write("\n")
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([format_number(row.get(c, "")) for c in columns])
+        fh.write(",".join(_csv_field(c) for c in columns) + "\n")
+        for block in _csv_blocks(table, columns):
+            fh.write(block)
 
 
 def run_discrepancy(family, n=200, seed=0):
@@ -282,11 +345,9 @@ def run_discrepancy(family, n=200, seed=0):
     make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
     cand = (closed_forms.canonical_a_candidates if family == "canonical-a"
             else closed_forms.canonical_b_candidates)
-    specs = [states.sample_canonical(states.RngState(seed, i), family) for i in range(n)]
-    p = np.array([s.p for s in specs])
-    theta = np.array([s.theta for s in specs])
-    truth = monogamy_table(np.stack([s.build() for s in specs]), "A")
-    truth0 = monogamy_table(np.stack([make(s.p, 0.0) for s in specs]), "A")
+    p, theta = states.sample_canonical_batch(seed, n, family)
+    truth = monogamy_table(make(p, theta), "A")
+    truth0 = monogamy_table(make(p, 0.0), "A")
     got = cand(p, theta)
     got0 = cand(p, 0.0)
 

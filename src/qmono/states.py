@@ -33,6 +33,8 @@ __all__ = [
     "sample_haar",
     "sample_haar_batch",
     "sample_canonical",
+    "sample_canonical_batch",
+    "uniforms",
     "validate",
     "read_state_file",
     "write_state_file",
@@ -66,6 +68,109 @@ def _box_muller(u):
     return r * np.cos(angle), r * np.sin(angle)
 
 
+# The chain SeedSequence(entropy=seed, spawn_key=(i,)) -> PCG64 -> random()
+# of RngState(seed, i), rebuilt in integer arithmetic so that one pass
+# serves every index.  SeedSequence hashes 32-bit words into a pool of four
+# (O'Neill's seed_seq_fe); PCG64 is a 128-bit LCG with XSL-RR output.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = tuple((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32
+                  for k in range(4))
+
+
+def _hash_consts(init, mult):
+    """(xor, multiplier) of successive hash calls: each call advances the constant."""
+    h = init
+    while True:
+        nxt = (h * mult) & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hash(word, consts):
+    xor, mul = next(consts)
+    word = ((word ^ xor) * mul) & _MASK32
+    return word ^ (word >> 16)
+
+
+def _mix(x, y):
+    r = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _mul_add128(a, m, c):
+    """a * m + c mod 2**128 on little-endian 32-bit limbs (uint64 arrays or ints)."""
+    out, carry, high = [], 0, []
+    for k in range(4):
+        prods = [a[i] * m[k - i] for i in range(k + 1)]
+        total = carry + c[k] + sum(high) + sum(p & _MASK32 for p in prods)
+        high = [p >> 32 for p in prods]
+        out.append(total & _MASK32)
+        carry = total >> 32
+    return out
+
+
+def _check_indices(indices) -> np.ndarray:
+    """Stream indices as uint64, rejected unless each fits in an unsigned 64-bit integer."""
+    if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
+        if indices.dtype.kind == "i" and np.any(indices < 0):
+            raise ValueError("stream indices must fit in an unsigned 64-bit integer")
+        return indices.astype(np.uint64)
+    # Python ints beyond the int64 range would turn a plain asarray into floats
+    items = np.asarray(indices, dtype=object)
+    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < 2**64
+               for i in items.flat):
+        raise ValueError("stream indices must fit in an unsigned 64-bit integer")
+    return items.astype(np.uint64)
+
+
+def uniforms(seed: int, indices, k: int) -> np.ndarray:
+    """The first k doubles of RngState(seed, i).uniforms for every i, shape (len(indices), k).
+
+    Bit for bit what the per-index generators give, computed for all
+    indices at once: the SeedSequence pool, generate_state(4, uint64), the
+    PCG64 seeding and k XSL-RR outputs turned into doubles as random() does.
+    The seed words are the same for every index, so their part of the pool
+    is mixed once in Python integers; the spawn words (one, or two for an
+    index of 2**32 or more) are mixed in as arrays.
+    """
+    seed = _check_seed(seed)
+    idx = _check_indices(indices)
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    # the seed's words, zero-padded to the pool size because a spawn key follows
+    pool = [_hash(w, consts) for w in (seed & _MASK32, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
+    lo, hi = idx & _MASK32, idx >> 32
+    pool = [_mix(np.full(idx.shape, p, dtype=np.uint64), _hash(lo, consts)) for p in pool]
+    two_words = hi != 0
+    if np.any(two_words):
+        pool = [np.where(two_words, _mix(p, _hash(hi, consts)), p) for p in pool]
+
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    w = [_hash(pool[j % 4], consts) for j in range(8)]
+    # generate_state gives the uint64 words (w0|w1<<32, w2|w3<<32, ...);
+    # PCG64 seeds state from the first two and the increment from the last two
+    init_state = (w[2], w[3], w[0], w[1])
+    inc = (((w[6] << 1) & _MASK32) | 1, ((w[7] << 1) & _MASK32) | (w[6] >> 31),
+           ((w[4] << 1) & _MASK32) | (w[7] >> 31), ((w[5] << 1) & _MASK32) | (w[4] >> 31))
+    # seeding sets state = inc + init_state and takes one LCG step
+    state = _mul_add128(_mul_add128(inc, (1, 0, 0, 0), init_state), _PCG_MULT, inc)
+    out = np.empty(idx.shape + (int(k),))
+    for t in range(int(k)):
+        state = _mul_add128(state, _PCG_MULT, inc)
+        s0, s1, s2, s3 = state
+        x = ((s3 ^ s1) << 32) | (s2 ^ s0)
+        rot = s3 >> 26
+        x = (x >> rot) | (x << ((64 - rot) & 63))
+        out[..., t] = (x >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+    return out
+
+
 class RngState:
     """Deterministic PCG64 stream addressed by (seed, stream index).
 
@@ -73,7 +178,8 @@ class RngState:
     the same 64-bit seed, so ensemble element i can be generated in
     isolation and in any order.  Gaussians are produced by Box-Muller from
     the uniform stream; only `random()` of the underlying generator is
-    consumed, which keeps the draw sequence easy to reproduce elsewhere.
+    consumed, which lets `uniforms` rebuild the draws of many indices in
+    one pass.  This class is the scalar reference those batches match.
     """
 
     def __init__(self, seed: int, index: int | None = None):
@@ -128,53 +234,84 @@ def make_w() -> np.ndarray:
     return psi
 
 
-def make_bell_product(p1: float) -> np.ndarray:
+def _first_failure(checks):
+    """(row, message) of the first row failing a check, or None if all pass.
+
+    `checks` are (boolean array over the rows, message of row r) pairs in
+    the order they apply; the arrays broadcast together and r is a flat
+    row index.  The message is that of the row's first failed check, so a
+    batch reports what checking its rows one by one would have reported.
+    """
+    masks = np.broadcast_arrays(*(mask for mask, _ in checks))
+    bad = np.logical_or.reduce(masks).reshape(-1)
+    if not bad.any():
+        return None
+    row = int(np.argmax(bad))
+    return row, next(msg(row) for mask, (_, msg) in zip(masks, checks) if mask.reshape(-1)[row])
+
+
+def make_bell_product(p1):
     """sqrt(p1) |Psi^-> |0> + sqrt(p2) |00> |1> with p2 = 1 - p1.
 
-    |Psi^-> = (|01> - |10>)/sqrt(2) lives on qubits A and B.
+    |Psi^-> = (|01> - |10>)/sqrt(2) lives on qubits A and B.  An array of
+    weights gives one state per weight, shape (..., 8).
     """
-    p1 = float(p1)
-    if not 0.0 <= p1 <= 1.0:
-        raise ValueError(f"p1 must lie in [0, 1], got {p1!r}")
-    psi = np.zeros(8, dtype=np.complex128)
-    half = math.sqrt(p1 / 2.0)
-    psi[2] = half
-    psi[4] = -half
-    psi[1] = math.sqrt(1.0 - p1)
+    p1 = np.asarray(p1, dtype=np.float64)
+    failure = _first_failure([(~((0.0 <= p1) & (p1 <= 1.0)),
+                               lambda r: f"p1 must lie in [0, 1], got {float(p1.flat[r])!r}")])
+    if failure is not None:
+        raise ValueError(failure[1])
+    psi = np.zeros(p1.shape + (8,), dtype=np.complex128)
+    half = np.sqrt(p1 / 2.0)
+    psi[..., 2] = half
+    psi[..., 4] = -half
+    psi[..., 1] = np.sqrt(1.0 - p1)
     return psi
 
 
 def _check_canonical_params(p, theta):
+    """Parameter rows p (..., 5) and angles theta, checked row by row."""
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != (5,):
+    if p.shape[-1:] != (5,):
         raise ValueError(f"need 5 canonical parameters, got shape {p.shape}")
-    if np.any(p < 0.0) or not np.all(np.isfinite(p)):
-        raise ValueError("canonical parameters must be finite and non-negative")
-    s = float(np.sum(p * p))
-    if abs(s - 1.0) > PARAM_NORM_TOL:
-        raise ValueError(f"sum of squared parameters is {s!r}, must be 1")
-    theta = float(theta)
-    if not 0.0 <= theta < math.pi:
-        raise ValueError(f"theta must lie in [0, pi), got {theta!r}")
+    s, theta = np.broadcast_arrays(np.sum(p * p, axis=-1), np.asarray(theta, dtype=np.float64))
+    failure = _first_failure([
+        (np.any(p < 0.0, axis=-1) | ~np.all(np.isfinite(p), axis=-1),
+         lambda r: "canonical parameters must be finite and non-negative"),
+        (np.abs(s - 1.0) > PARAM_NORM_TOL,
+         lambda r: f"sum of squared parameters is {float(s.flat[r])!r}, must be 1"),
+        (~((0.0 <= theta) & (theta < math.pi)),
+         lambda r: f"theta must lie in [0, pi), got {float(theta.flat[r])!r}"),
+    ])
+    if failure is not None:
+        raise ValueError(failure[1])
     return p, theta
 
 
 def _canonical(indices, p, theta):
     p, theta = _check_canonical_params(p, theta)
-    psi = np.zeros(8, dtype=np.complex128)
-    psi[indices[0]] = p[0] * complex(math.cos(theta), math.sin(theta))
-    for idx, amp in zip(indices[1:], p[1:]):
-        psi[idx] = amp
+    phase = np.cos(theta) + 1j * np.sin(theta)
+    psi = np.zeros(theta.shape + (8,), dtype=np.complex128)
+    psi[..., indices[0]] = p[..., 0] * phase
+    psi[..., list(indices[1:])] = p[..., 1:]
     return psi
 
 
-def make_canonical_a(p, theta: float = 0.0) -> np.ndarray:
-    """p1 e^(i theta)|000> + p2|001> + p3|100> + p4|110> + p5|111>."""
+def make_canonical_a(p, theta=0.0) -> np.ndarray:
+    """p1 e^(i theta)|000> + p2|001> + p3|100> + p4|110> + p5|111>.
+
+    Parameter rows p of shape (..., 5) with angles theta give a stack of
+    states, shape (..., 8).
+    """
     return _canonical(_CANONICAL_A_INDICES, p, theta)
 
 
-def make_canonical_b(p, theta: float = 0.0) -> np.ndarray:
-    """p1 e^(i theta)|000> + p2|001> + p3|010> + p4|100> + p5|111>."""
+def make_canonical_b(p, theta=0.0) -> np.ndarray:
+    """p1 e^(i theta)|000> + p2|001> + p3|010> + p4|100> + p5|111>.
+
+    Parameter rows p of shape (..., 5) with angles theta give a stack of
+    states, shape (..., 8).
+    """
     return _canonical(_CANONICAL_B_INDICES, p, theta)
 
 
@@ -192,16 +329,25 @@ def sample_haar(rng: RngState) -> np.ndarray:
 def sample_haar_batch(seed: int, n: int) -> np.ndarray:
     """n Haar samples, one independent stream per index, shape (n, 8).
 
-    Equivalent to stacking sample_haar(RngState(seed, i)) for i in range(n)
-    but drawn in one vectorized pass; rejects the same seeds as RngState.
+    Bitwise the stack of sample_haar(RngState(seed, i)) for i in range(n):
+    the 16 uniforms of every index come from one vectorized pass of
+    `uniforms`, and the same Box-Muller step turns them into amplitudes.
+    Rejects the same seeds as RngState.
     """
-    seed = _check_seed(seed)
-    n = int(n)
-    gens = [np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(i,)))) for i in range(n)]
-    g0, g1 = _box_muller(np.stack([g.random(16) for g in gens]))
+    g0, g1 = _box_muller(uniforms(seed, np.arange(int(n), dtype=np.uint64), 16))
     psi = g0 + 1j * g1
     return psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1))[:, None]
+
+
+def _check_canonical_family(family):
+    if family not in ("canonical-a", "canonical-b"):
+        raise ValueError(f"family must be canonical-a or canonical-b, got {family!r}")
+
+
+def _simplex_params(u):
+    """p (..., 5) and theta (...) from five uniforms along the last axis."""
+    spacings = np.diff(np.sort(u[..., :4], axis=-1), axis=-1, prepend=0.0, append=1.0)
+    return np.sqrt(spacings), u[..., 4] * math.pi
 
 
 def sample_canonical(rng: RngState, family: str) -> "StateFamilySpec":
@@ -210,14 +356,18 @@ def sample_canonical(rng: RngState, family: str) -> "StateFamilySpec":
     The simplex point comes from the spacings of four sorted uniforms; the
     p_i are its square roots.  theta is uniform on [0, pi).
     """
-    if family not in ("canonical-a", "canonical-b"):
-        raise ValueError(f"family must be canonical-a or canonical-b, got {family!r}")
-    u = rng.uniforms(5)
-    cuts = np.sort(u[:4])
-    spacings = np.diff(np.concatenate(([0.0], cuts, [1.0])))
-    p = tuple(float(x) for x in np.sqrt(spacings))
-    theta = float(u[4] * math.pi)
-    return StateFamilySpec(family=family, p=p, theta=theta)
+    _check_canonical_family(family)
+    p, theta = _simplex_params(rng.uniforms(5))
+    return StateFamilySpec(family=family, p=tuple(p.tolist()), theta=float(theta))
+
+
+def sample_canonical_batch(seed: int, n: int, family: str):
+    """p (n, 5) and theta (n,) of sample_canonical(RngState(seed, i), family), i < n.
+
+    Bitwise the per-index samples, drawn in one pass of `uniforms`.
+    """
+    _check_canonical_family(family)
+    return _simplex_params(uniforms(seed, np.arange(int(n), dtype=np.uint64), 5))
 
 
 @dataclass(frozen=True)

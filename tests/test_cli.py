@@ -81,6 +81,27 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+
+class TestParserReuse:
+    def test_tree_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_consecutive_calls_do_not_leak_defaults(self, capsys):
+        assert run_cli(["analyze", "--family", "ghz", "--pivot", "B", "--format", "csv"]) == 0
+        capsys.readouterr()
+        assert run_cli(["analyze", "--family", "ghz"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["pivot"] == "A"
+
+    def test_usage_error_after_a_good_call_exits_1(self, capsys):
+        assert run_cli(["analyze", "--family", "w"]) == 0
+        with pytest.raises(SystemExit) as err:
+            run_cli(["analyze", "--pivot", "D"])
+        assert err.value.code == 1
+        capsys.readouterr()
+        assert run_cli(["analyze", "--family", "w", "--pivot", "C"]) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["pivot"] == "C"
+
 class TestEnsemble:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "runs.csv"
@@ -119,9 +140,9 @@ class TestEnsemble:
         real = experiments.run_ensemble
 
         def tampered(config):
-            rows, summary = real(config)
-            rows[0] = dict(rows[0], tau=rows[0]["tau"] + 0.5)
-            return rows, summary
+            table, summary = real(config)
+            table["tau"][0] += 0.5
+            return table, summary
 
         monkeypatch.setattr(experiments, "run_ensemble", tampered)
         out = tmp_path / "runs.csv"

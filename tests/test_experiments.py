@@ -1,16 +1,23 @@
 """Batch runners: schema, determinism, validation, and the audit table."""
 
 import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qmono import experiments
+from qmono import experiments, states
+from qmono.inequalities import classify_gaps, monogamy_table
 
 
 HEADER = ("index,family,p1,p2,p3,p4,p5,theta,c2_ab,c2_ac,c2_abc,tau,"
           "rhs_fei,rhs_tight,gap_fei,gap_tight,class")
+
+
+def same_table(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def small_config(**kw):
@@ -51,44 +58,48 @@ class TestEnsembleConfig:
 
 class TestRunEnsemble:
     def test_row_shape_and_indices(self):
-        rows, summary = experiments.run_ensemble(small_config())
-        assert [r["index"] for r in rows] == list(range(20))
-        assert all(r["family"] == "canonical-a" for r in rows)
-        assert all(set(experiments.CSV_COLUMNS) <= set(r) for r in rows)
+        table, summary = experiments.run_ensemble(small_config())
+        assert table["index"].tolist() == list(range(20))
+        assert all(f == "canonical-a" for f in table["family"])
+        assert set(experiments.CSV_COLUMNS) <= set(table)
+        assert all(len(table[c]) == 20 for c in experiments.CSV_COLUMNS)
         assert summary["count"] == 20
         assert summary["saturated"] + summary["violated"] <= 20
 
     def test_canonical_rows_carry_parameters(self):
-        rows, _ = experiments.run_ensemble(small_config())
-        r = rows[0]
-        total = sum(r[f"p{k}"] ** 2 for k in range(1, 6))
+        table, _ = experiments.run_ensemble(small_config())
+        total = sum(table[f"p{k}"][0] ** 2 for k in range(1, 6))
         assert total == pytest.approx(1.0, abs=1e-9)
-        assert 0.0 <= r["theta"] < np.pi
+        assert 0.0 <= table["theta"][0] < np.pi
 
     def test_haar_rows_have_empty_parameters(self):
-        rows, _ = experiments.run_ensemble(small_config(family="haar"))
-        assert rows[0]["p1"] == ""
-        assert rows[0]["theta"] == ""
+        table, _ = experiments.run_ensemble(small_config(family="haar"))
+        assert "p1" not in table
+        assert "theta" not in table
+        row = experiments.records(table, experiments.CSV_COLUMNS)[0]
+        assert row["p1"] == ""
+        assert row["theta"] == ""
 
     def test_bell_product_rows(self):
-        rows, _ = experiments.run_ensemble(small_config(family="bell-product"))
-        for r in rows:
-            assert 0.0 <= r["p1"] <= 1.0
-            assert r["p2"] == pytest.approx(1.0 - r["p1"])
+        table, _ = experiments.run_ensemble(small_config(family="bell-product"))
+        for p1, p2 in zip(table["p1"], table["p2"]):
+            assert 0.0 <= p1 <= 1.0
+            assert p2 == pytest.approx(1.0 - p1)
 
     def test_fixed_states_repeat(self):
-        rows, _ = experiments.run_ensemble(small_config(family="ghz", count=3))
-        assert rows[0]["tau"] == rows[1]["tau"] == rows[2]["tau"] == pytest.approx(1.0)
+        table, _ = experiments.run_ensemble(small_config(family="ghz", count=3))
+        tau = table["tau"]
+        assert tau[0] == tau[1] == tau[2] == pytest.approx(1.0)
 
     def test_deterministic_for_fixed_seed(self):
         a, _ = experiments.run_ensemble(small_config())
         b, _ = experiments.run_ensemble(small_config())
-        assert a == b
+        assert same_table(a, b)
 
     def test_seed_changes_rows(self):
         a, _ = experiments.run_ensemble(small_config())
         b, _ = experiments.run_ensemble(small_config(seed=6))
-        assert a != b
+        assert not same_table(a, b)
 
     def test_classifies_once_per_table(self, monkeypatch):
         calls = []
@@ -99,80 +110,94 @@ class TestRunEnsemble:
             return real(gaps, tol)
 
         monkeypatch.setattr(experiments, "classify_gaps", counting)
-        rows, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(small_config())
         experiments.run_scan("bell-product", -0.5, 1.0, 7)
         assert calls == [(20,), (5,)]
-        want = real(np.array([r["gap_tight"] for r in rows]), experiments.SATURATION_TOL)
-        assert [r["class"] for r in rows] == list(want)
+        want = real(table["gap_tight"], experiments.SATURATION_TOL)
+        assert table["class"].tolist() == list(want)
 
     def test_summary_gap_stats(self):
-        rows, summary = experiments.run_ensemble(small_config())
-        gaps = sorted(r["gap_tight"] for r in rows)
+        table, summary = experiments.run_ensemble(small_config())
+        gaps = sorted(table["gap_tight"])
         assert summary["gap_tight"]["min"] == pytest.approx(gaps[0])
         assert summary["gap_tight"]["max"] == pytest.approx(gaps[-1])
 
 
 class TestValidateRows:
     def test_accepts_good_rows(self):
-        rows, _ = experiments.run_ensemble(small_config())
-        experiments.validate_rows(rows)
+        table, _ = experiments.run_ensemble(small_config())
+        experiments.validate_rows(table)
 
     def test_rejects_broken_closure(self):
-        rows, _ = experiments.run_ensemble(small_config())
-        rows[3] = dict(rows[3], tau=rows[3]["tau"] + 1e-3)
+        table, _ = experiments.run_ensemble(small_config())
+        table["tau"][3] += 1e-3
         with pytest.raises(experiments.InvariantViolation, match="closure"):
-            experiments.validate_rows(rows)
+            experiments.validate_rows(table)
 
     def test_rejects_inverted_gaps(self):
-        rows, _ = experiments.run_ensemble(small_config())
-        rows[0] = dict(rows[0], gap_tight=rows[0]["gap_fei"] + 1.0,
-                       c2_abc=rows[0]["c2_ab"] + rows[0]["c2_ac"] + rows[0]["tau"]
-                       )
+        table, _ = experiments.run_ensemble(small_config())
+        table["gap_tight"][0] = table["gap_fei"][0] + 1.0
+        table["c2_abc"][0] = table["c2_ab"][0] + table["c2_ac"][0] + table["tau"][0]
         with pytest.raises(experiments.InvariantViolation):
-            experiments.validate_rows(rows)
+            experiments.validate_rows(table)
 
     def test_rejects_violated_class(self):
-        rows, _ = experiments.run_ensemble(small_config())
-        rows[0] = dict(rows[0], **{"class": "violated", "gap_tight": -1e-6,
-                                   "gap_fei": 0.0,
-                                   "c2_abc": rows[0]["c2_ab"] + rows[0]["c2_ac"] + rows[0]["tau"]})
+        table, _ = experiments.run_ensemble(small_config())
+        table["class"][0] = "violated"
+        table["gap_tight"][0] = -1e-6
+        table["gap_fei"][0] = 0.0
+        table["c2_abc"][0] = table["c2_ab"][0] + table["c2_ac"][0] + table["tau"][0]
         with pytest.raises(experiments.InvariantViolation):
-            experiments.validate_rows(rows)
+            experiments.validate_rows(table)
 
     def test_skips_noted_rows(self):
-        experiments.validate_rows([{"note": "infeasible", "index": 0}])
+        # the NaN placeholders of the infeasible points would fail every check
+        table = experiments.run_scan("bell-product", 0.9, 1.1, 3)
+        assert table["note"][2] != ""
+        assert np.isnan(table["c2_ab"][2])
+        experiments.validate_rows(table)
+
+    def test_reports_first_row_and_its_first_failed_check(self):
+        table, _ = experiments.run_ensemble(small_config())
+        table["tau"][7] = 2.0
+        table["c2_ab"][4] = 1.5
+        table["c2_abc"][4] = table["c2_ab"][4] + table["c2_ac"][4] + table["tau"][4]
+        with pytest.raises(experiments.InvariantViolation,
+                           match=r"^row 4: c2_ab = 1\.5 outside \[0, 1\]$"):
+            experiments.validate_rows(table)
 
 
 class TestRunScan:
     def test_bell_product_grid(self):
-        rows = experiments.run_scan("bell-product", 0.0, 1.0, 101)
-        assert len(rows) == 101
-        assert all(r["note"] == "" for r in rows)
-        gaps = [r["gap_tight"] for r in rows]
+        table = experiments.run_scan("bell-product", 0.0, 1.0, 101)
+        assert len(table["index"]) == 101
+        assert all(table["note"] == "")
+        gaps = table["gap_tight"]
         interior = min(range(1, 100), key=lambda i: abs(gaps[i]))
-        assert abs(rows[interior]["p1"] - 2.0 / 3.0) <= 0.01 + 1e-12
+        assert abs(table["p1"][interior] - 2.0 / 3.0) <= 0.01 + 1e-12
 
     def test_out_of_range_weight_gets_note(self):
-        rows = experiments.run_scan("bell-product", 0.9, 1.1, 3)
-        assert rows[0]["note"] == ""
-        assert "infeasible" in rows[2]["note"]
-        assert rows[2]["c2_ab"] == ""
+        table = experiments.run_scan("bell-product", 0.9, 1.1, 3)
+        assert table["note"][0] == ""
+        assert "infeasible" in table["note"][2]
+        assert not table["feasible"][2]
+        assert experiments.records(table, experiments.SCAN_COLUMNS)[2]["c2_ab"] == ""
 
     def test_canonical_slice_feasibility_boundary(self):
-        rows = experiments.run_scan("canonical-a", 0.9, 1.0, 6)
-        notes = [r["note"] != "" for r in rows]
+        table = experiments.run_scan("canonical-a", 0.9, 1.0, 6)
+        notes = table["note"] != ""
         assert notes[-1]
         assert not notes[0]
 
     def test_canonical_slice_orders_bounds(self):
-        rows = experiments.run_scan("canonical-a", 0.4, 0.5, 21)
-        for r in rows:
-            assert r["c2_abc"] >= r["rhs_tight"] - 1e-9
-            assert r["rhs_tight"] >= r["rhs_fei"] - 1e-12
+        t = experiments.run_scan("canonical-a", 0.4, 0.5, 21)
+        assert t["feasible"].all()
+        assert np.all(t["c2_abc"] >= t["rhs_tight"] - 1e-9)
+        assert np.all(t["rhs_tight"] >= t["rhs_fei"] - 1e-12)
 
     def test_fixed_overrides(self):
-        rows = experiments.run_scan("canonical-a", 0.4, 0.5, 5, fixed={"p2": 0.3})
-        assert rows[0]["p2"] == pytest.approx(0.3)
+        table = experiments.run_scan("canonical-a", 0.4, 0.5, 5, fixed={"p2": 0.3})
+        assert table["p2"][0] == pytest.approx(0.3)
 
     def test_rejects_unsupported_family(self):
         with pytest.raises(ValueError):
@@ -213,35 +238,36 @@ class TestRunFigure:
 
 class TestWriteRows:
     def test_csv_header_and_determinism(self, tmp_path):
-        rows, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(small_config())
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        experiments.write_rows(p1, rows, experiments.CSV_COLUMNS)
-        experiments.write_rows(p2, rows, experiments.CSV_COLUMNS)
+        experiments.write_rows(p1, table, experiments.CSV_COLUMNS)
+        experiments.write_rows(p2, table, experiments.CSV_COLUMNS)
         text = p1.read_text()
         assert text.splitlines()[0] == HEADER
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_round_trips_doubles(self, tmp_path):
-        rows, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(small_config())
         path = tmp_path / "x.csv"
-        experiments.write_rows(path, rows, experiments.CSV_COLUMNS)
+        experiments.write_rows(path, table, experiments.CSV_COLUMNS)
         with open(path, newline="") as fh:
             back = list(csv.DictReader(fh))
-        for orig, rec in zip(rows, back):
-            assert float(rec["gap_tight"]) == orig["gap_tight"]
-            assert rec["class"] == orig["class"]
+        assert len(back) == 20
+        for i, rec in enumerate(back):
+            assert float(rec["gap_tight"]) == table["gap_tight"][i]
+            assert rec["class"] == table["class"][i]
 
     def test_json_output(self, tmp_path):
-        rows, _ = experiments.run_ensemble(small_config(count=3))
+        table, _ = experiments.run_ensemble(small_config(count=3))
         path = tmp_path / "x.json"
-        experiments.write_rows(path, rows, experiments.CSV_COLUMNS, fmt="json")
+        experiments.write_rows(path, table, experiments.CSV_COLUMNS, fmt="json")
         data = json.loads(path.read_text())
         assert len(data) == 3
         assert data[0]["family"] == "canonical-a"
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
-            experiments.write_rows(tmp_path / "x", [], experiments.CSV_COLUMNS, fmt="xml")
+            experiments.write_rows(tmp_path / "x", {}, experiments.CSV_COLUMNS, fmt="xml")
 
 
 class TestDiscrepancy:
@@ -269,3 +295,158 @@ class TestDiscrepancy:
     def test_rejects_other_families(self):
         with pytest.raises(ValueError):
             experiments.run_discrepancy("haar")
+
+
+# Reference rows built one index at a time with scalar code, the way the
+# row-by-row writer (csv.writer over format_number cells) consumed them; the
+# columnar runners and the block writer must reproduce their bytes exactly.
+_PARAMS = ("p1", "p2", "p3", "p4", "p5")
+
+
+def _reference_canonical(family, p, theta):
+    support = (0, 1, 4, 6, 7) if family == "canonical-a" else (0, 1, 2, 4, 7)
+    psi = np.zeros(8, dtype=np.complex128)
+    psi[support[0]] = np.float64(p[0]) * complex(math.cos(theta), math.sin(theta))
+    for idx, amp in zip(support[1:], p[1:]):
+        psi[idx] = amp
+    return psi
+
+
+def _reference_bell(p1):
+    psi = np.zeros(8, dtype=np.complex128)
+    half = math.sqrt(p1 / 2.0)
+    psi[2], psi[4], psi[1] = half, -half, math.sqrt(1.0 - p1)
+    return psi
+
+
+def _with_metrics(rows, buildable, pivot):
+    """Fill the metric cells of rows[i] for each (i, state) in buildable."""
+    if buildable:
+        table = monogamy_table(np.stack([psi for _, psi in buildable]), pivot)
+        labels = classify_gaps(table["gap_tight"], experiments.SATURATION_TOL)
+        for j, (i, _) in enumerate(buildable):
+            rows[i].update({k: float(table[k][j]) for k in experiments._METRIC_KEYS},
+                           **{"class": str(labels[j])})
+    return rows
+
+
+def _reference_ensemble(family, n, seed, pivot):
+    rows, buildable = [], []
+    for i in range(n):
+        rng = states.RngState(seed, i)
+        row = {"index": i, "family": family}
+        if family == "haar":
+            psi = states.sample_haar(rng)
+        elif family in ("canonical-a", "canonical-b"):
+            spec = states.sample_canonical(rng, family)
+            row.update(dict(zip(_PARAMS, spec.p)), theta=spec.theta)
+            psi = _reference_canonical(family, spec.p, spec.theta)
+        elif family == "bell-product":
+            p1 = float(rng.uniforms(1)[0])
+            row.update(p1=p1, p2=1.0 - p1)
+            psi = _reference_bell(p1)
+        else:
+            psi = states.make_ghz()
+        rows.append(row)
+        buildable.append((i, psi))
+    return _with_metrics(rows, buildable, pivot)
+
+
+def _reference_scan(family, lo, hi, steps, pivot):
+    rows, buildable = [], []
+    for i, p1 in enumerate(np.linspace(lo, hi, steps)):
+        row = {"index": i, "family": family, "note": ""}
+        if family == "bell-product":
+            if 0.0 <= p1 <= 1.0:
+                row.update(p1=float(p1), p2=1.0 - float(p1))
+                buildable.append((i, _reference_bell(p1)))
+            else:
+                row["note"] = "infeasible: p1 outside [0, 1]"
+        else:
+            d = experiments.SWEEP_DEFAULTS
+            p5sq = 1.0 - p1 * p1 - d["p2"] * d["p2"] - d["p3"] * d["p3"] - d["p4"] * d["p4"]
+            if p1 >= 0.0 and p5sq >= 0.0:
+                p = (float(p1), d["p2"], d["p3"], d["p4"], math.sqrt(p5sq))
+                row.update(dict(zip(_PARAMS, p)), theta=d["theta"])
+                buildable.append((i, _reference_canonical(family, p, d["theta"])))
+            else:
+                row["note"] = "infeasible: no normalized state for this p1"
+        rows.append(row)
+    return _with_metrics(rows, buildable, pivot)
+
+
+def _reference_bytes(rows, columns, fmt):
+    if fmt == "json":
+        payload = [{c: row.get(c, "") for c in columns} for row in rows]
+        return (json.dumps(payload, indent=1) + "\n").encode()
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([experiments.format_number(row.get(c, "")) for c in columns])
+    return buf.getvalue().encode()
+
+
+def _written(tmp_path, table, columns, fmt="csv"):
+    path = tmp_path / f"out.{fmt}"
+    experiments.write_rows(path, table, columns, fmt)
+    return path.read_bytes()
+
+
+@pytest.fixture(params=[5, experiments.WRITE_BLOCK_ROWS], ids=["blocks-of-5", "default-blocks"])
+def block_rows(request, monkeypatch):
+    monkeypatch.setattr(experiments, "WRITE_BLOCK_ROWS", request.param)
+    return request.param
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("family,n,seed,pivot", [
+        ("haar", 203, 1, "A"),
+        ("haar", 37, 2**64 - 1, "C"),
+        ("canonical-a", 211, 7, "B"),
+        ("canonical-b", 97, 2**32, "C"),
+        ("bell-product", 150, 3, "A"),
+        ("ghz", 12, 0, "B"),
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_ensembles(self, tmp_path, block_rows, family, n, seed, pivot, fmt):
+        config = experiments.EnsembleConfig(family=family, count=n, seed=seed, pivot=pivot)
+        table, _ = experiments.run_ensemble(config)
+        want = _reference_bytes(_reference_ensemble(family, n, seed, pivot),
+                                experiments.CSV_COLUMNS, fmt)
+        assert _written(tmp_path, table, experiments.CSV_COLUMNS, fmt) == want
+
+    def test_large_haar_ensemble_spans_blocks(self, tmp_path):
+        n = experiments.WRITE_BLOCK_ROWS + 3
+        table, _ = experiments.run_ensemble(experiments.EnsembleConfig(family="haar", count=n,
+                                                                       seed=11))
+        want = _reference_bytes(_reference_ensemble("haar", n, 11, "A"),
+                                experiments.CSV_COLUMNS, "csv")
+        assert _written(tmp_path, table, experiments.CSV_COLUMNS) == want
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bell_scan_with_infeasible_points(self, tmp_path, block_rows, fmt):
+        table = experiments.run_scan("bell-product", -0.5, 1.5, 41, pivot="B")
+        assert not table["feasible"].all()
+        want = _reference_bytes(_reference_scan("bell-product", -0.5, 1.5, 41, "B"),
+                                experiments.SCAN_COLUMNS, fmt)
+        assert _written(tmp_path, table, experiments.SCAN_COLUMNS, fmt) == want
+
+    def test_canonical_scan_with_infeasible_points(self, tmp_path, block_rows):
+        table = experiments.run_scan("canonical-b", 0.0, 1.2, 61, pivot="C")
+        want = _reference_bytes(_reference_scan("canonical-b", 0.0, 1.2, 61, "C"),
+                                experiments.SCAN_COLUMNS, "csv")
+        assert _written(tmp_path, table, experiments.SCAN_COLUMNS) == want
+
+    def test_figure_2(self, tmp_path, block_rows):
+        table, columns, _, _, _ = experiments.run_figure(2, seed=0, n=57)
+        want = _reference_bytes(_reference_scan("canonical-a", 0.4, 0.5, 57, "A"), columns, "csv")
+        assert _written(tmp_path, table, columns) == want
+
+    def test_quoted_string_cells(self, tmp_path):
+        rows = experiments.run_discrepancy("canonical-a", n=20, seed=3)
+        columns = ["formula", "max_abs_dev", "note"]
+        table = {c: np.array([r[c] for r in rows]) for c in columns}
+        want = _reference_bytes(rows, columns, "csv")
+        assert b'"tau (outer square removed, theta=0 slice)"' in want
+        assert _written(tmp_path, table, columns) == want

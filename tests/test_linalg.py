@@ -39,10 +39,12 @@ class TestBasics:
 class TestEigen:
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_matches_numpy_eigvalsh(self, rng, dim):
+        # independent LAPACK route: the general eigensolver (geev), which
+        # neither assumes Hermiticity nor orders its output
         a = random_hermitian(rng, dim, batch=(50,))
         got = linalg.hermitian_eigenvalues(a)
-        want = np.sort(np.linalg.eigvalsh(a), axis=-1)[..., ::-1]
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        want = np.sort(np.linalg.eigvals(a).real, axis=-1)[..., ::-1]
+        np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_descending_order(self, rng):
         w = linalg.hermitian_eigenvalues(random_hermitian(rng, 8, batch=(20,)))

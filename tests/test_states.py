@@ -131,6 +131,86 @@ class TestSampling:
             states.sample_canonical(states.RngState(0, 0), "ghz")
 
 
+
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+# one spawn word below 2**32, two from 2**32 on
+STREAM_INDICES = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
+
+
+class TestStreamRebuild:
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_bitwise_equal_to_rng_state(self, seed):
+        got = states.uniforms(seed, STREAM_INDICES, 9)
+        want = np.stack([states.RngState(seed, i).uniforms(9) for i in STREAM_INDICES])
+        assert got.shape == (len(STREAM_INDICES), 9)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_index_arrays_of_any_integer_type(self):
+        want = states.uniforms(5, [0, 3, 2**32 + 1], 4)
+        for dtype in (np.int64, np.uint64, np.uint32):
+            got = states.uniforms(5, np.array([0, 3, 2**32 + 1]).astype(dtype)[:2], 4)
+            np.testing.assert_array_equal(got, want[:2])
+        np.testing.assert_array_equal(states.uniforms(5, np.array([0, 3, 2**32 + 1]), 4), want)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seeds_like_rng_state(self, seed):
+        with pytest.raises(ValueError) as batch_err:
+            states.uniforms(seed, [0], 2)
+        with pytest.raises(ValueError) as single_err:
+            states.RngState(seed, 0)
+        assert str(batch_err.value) == str(single_err.value)
+
+    @pytest.mark.parametrize("indices", [[-1], [2**64], np.array([-2, 0]), [0.5], [True]])
+    def test_rejects_indices_outside_uint64(self, indices):
+        with pytest.raises(ValueError, match="unsigned 64-bit"):
+            states.uniforms(0, indices, 2)
+
+    @pytest.mark.parametrize("family", ["canonical-a", "canonical-b"])
+    @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1])
+    def test_canonical_batch_equals_per_index_specs(self, family, seed):
+        p, theta = states.sample_canonical_batch(seed, 40, family)
+        maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
+        support = (0, 1, 4, 6, 7) if family == "canonical-a" else (0, 1, 2, 4, 7)
+        psis = maker(p, theta)
+        for i in range(40):
+            spec = states.sample_canonical(states.RngState(seed, i), family)
+            assert tuple(p[i].tolist()) == spec.p
+            assert theta[i] == spec.theta
+            # the scalar formula, with the math module's cosine and sine
+            want = np.zeros(8, dtype=np.complex128)
+            want[support[0]] = np.float64(spec.p[0]) * complex(math.cos(spec.theta),
+                                                               math.sin(spec.theta))
+            want[list(support[1:])] = spec.p[1:]
+            np.testing.assert_array_equal(psis[i].view(np.uint64), want.view(np.uint64))
+            np.testing.assert_array_equal(spec.build(), want)
+
+    def test_canonical_batch_snapshot(self):
+        p, theta = states.sample_canonical_batch(2024, 1, "canonical-b")
+        assert tuple(p[0].tolist()) == CANONICAL_B_2024_0["p"]
+        assert theta[0] == CANONICAL_B_2024_0["theta"]
+
+    @pytest.mark.parametrize("seed", [3, 2**63])
+    def test_bell_p1_draws_equal_per_index_streams(self, seed):
+        from qmono import experiments
+
+        table, _ = experiments.run_ensemble(
+            experiments.EnsembleConfig(family="bell-product", count=30, seed=seed))
+        want = [float(states.RngState(seed, i).uniforms(1)[0]) for i in range(30)]
+        assert table["p1"].tolist() == want
+        np.testing.assert_array_equal(states.make_bell_product(table["p1"]),
+                                      np.stack([states.make_bell_product(p) for p in want]))
+
+    def test_stacked_builders_check_rows_in_order(self):
+        good = (1.0, 0.0, 0.0, 0.0, 0.0)
+        p = np.array([good, good, (0.5, 0.5, 0.5, 0.5, 0.5), (-1.0, 0.0, 0.0, 0.0, 0.0)])
+        # row 2 is the first bad row; its norm check comes before its theta check
+        with pytest.raises(ValueError, match="sum of squared parameters is 1.25, must be 1"):
+            states.make_canonical_a(p, [0.0, 0.0, 4.0, 0.0])
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\), got 4.0"):
+            states.make_canonical_b(p[:2], [0.0, 4.0])
+        with pytest.raises(ValueError, match="p1 must lie in"):
+            states.make_bell_product([0.2, 1.5])
+
 class TestFamilySpec:
     def test_build_each_family(self):
         assert states.StateFamilySpec(family="ghz").build()[0] != 0
