@@ -117,11 +117,7 @@ def cmd_ensemble(args) -> int:
     table, summary = experiments.run_ensemble(config)
     experiments.write_rows(args.out, table, experiments.CSV_COLUMNS, args.format)
     _print_summary(summary)
-    try:
-        experiments.validate_rows(table)
-    except experiments.InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    experiments.validate_rows(table)
     return EXIT_OK
 
 
@@ -142,11 +138,7 @@ def cmd_scan(args) -> int:
         best = int(np.argmin(gaps))
         print(f"smallest |gap_tight| {gaps[best]:.6e} at p1="
               f"{experiments.format_number(table['p1'][feasible][best])}")
-    try:
-        experiments.validate_rows(table)
-    except experiments.InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    experiments.validate_rows(table)
     return EXIT_OK
 
 
@@ -160,11 +152,7 @@ def cmd_figures(args) -> int:
     svgplot.render_svg(svg_path, title, xlabel, "squared concurrence", series)
     print(csv_path)
     print(svg_path)
-    try:
-        experiments.validate_rows(table)
-    except experiments.InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    experiments.validate_rows(table)
     return EXIT_OK
 
 

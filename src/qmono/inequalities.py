@@ -7,16 +7,21 @@ a chosen pivot qubit X with partners Y, Z:
 * product form:        C^2_X(YZ) >= 2 sqrt(C^2_XY C^2_XZ + tau^2 / 4)
 * tight product form:  C^2_X(YZ) >= 2 sqrt((C^2_XY + tau/2)(C^2_XZ + tau/2))
 
-The tight form dominates the product form, its gap obeys the exact
-identity (C^2_X(YZ))^2 - rhs^2 = (C^2_XY - C^2_XZ)^2, and it is
-saturated exactly when C_XY = C_XZ.
+Every column comes from the three numbers of
+measures.pure_state_invariants: the pair traces T_XY = Tr(rho_XY
+rho_tilde_XY) = C^2_XY + tau/2, T_XZ, and tau from Cayley's
+hyperdeterminant, with no eigensolve.  With the CKW closure C^2_X(YZ) =
+T_XY + T_XZ the bounds and their gaps are, exactly,
 
-The inputs come from measures.pure_state_invariants: tau from Cayley's
-hyperdeterminant, C^2_XY = Tr(rho_XY rho_tilde_XY) - tau/2 and C^2_X(YZ)
-from the purity, with no eigensolve.  tau is therefore identical at every
-pivot, and C^2_XY + tau/2 under the tight square root is a sum of squared
-moduli: for a pair with no entanglement it is of the order of the squared
-roundoff, not of the roundoff itself.
+    rhs_tight = 2 sqrt(T_XY T_XZ)
+    gap_tight = (sqrt T_XY - sqrt T_XZ)^2
+    gap_fei   = [(T_XY - T_XZ)^2 + 2 tau (C^2_XY + C^2_XZ)] / (C^2_X(YZ) + rhs_fei)
+
+so these identities hold by construction, not within a tolerance: tau is
+identical at every pivot, neither gap is ever negative, and the tight gap
+is exactly 0 when T_XY == T_XZ, i.e. when C_XY = C_XZ.  The tight form
+dominates the product form (gap_tight <= gap_fei), and its gap obeys
+(C^2_X(YZ))^2 - rhs_tight^2 = (C^2_XY - C^2_XZ)^2.
 """
 
 from __future__ import annotations
@@ -51,10 +56,12 @@ class MonogamyReport:
     """Every monogamy-related quantity for one state and one pivot.
 
     The c2_* fields and tau are clamped to [0, 1]; the values they had
-    before clamping sit in raw_unclamped: c2_abc and tau as they are, and
-    c_ab, c_ac as the signed square root of the pre-clamp C^2 (negative
-    when roundoff pushed C^2 below 0).  Gaps are LHS - RHS, so
-    non-negative up to numerical noise.
+    before clamping sit in raw_unclamped: c2_abc (= T_XY + T_XZ, the sum
+    of the two pair traces) and tau as they are, and c_ab, c_ac as the
+    signed square root of the pre-clamp C^2 = T - tau/2 (negative when
+    roundoff pushed C^2 below 0).  The one-qubit purity route,
+    measures.concurrence_bipartition, is the independent check of c2_abc.
+    Gaps are LHS - RHS in closed forms that are never negative.
     """
 
     pivot: str
@@ -91,8 +98,9 @@ def fei_rhs(report: MonogamyReport) -> float:
 def tight_rhs(report: MonogamyReport) -> float:
     """Right-hand side of the tight product bound from a report's clamped values.
 
-    report.rhs_tight itself is taken from the pre-clamp values, so the two
-    differ only by roundoff, where a clamp moved C^2 or tau.
+    report.rhs_tight itself is 2 sqrt(T_XY T_XZ) from the pre-clamp pair
+    traces, so the two differ only by roundoff, where a clamp moved C^2 or
+    tau.
     """
     return float(tight_rhs_values(report.c2_ab, report.c2_ac, report.tau))
 
@@ -133,25 +141,29 @@ def monogamy_table(psis, pivot: str = "A") -> dict:
     The *_ab entries refer to the pair (pivot, first partner in label
     order), *_ac to the second partner.
     """
-    raw_c2_ab, raw_c2_ac, raw_c2_abc, raw_tau = pure_state_invariants(psis, pivot)
+    t_ab, t_ac, raw_tau = pure_state_invariants(psis, pivot)
+    raw_c2_ab = t_ab - raw_tau / 2.0
+    raw_c2_ac = t_ac - raw_tau / 2.0
+    raw_c2_abc = t_ab + t_ac
     c2_ab = np.clip(raw_c2_ab, 0.0, 1.0)
     c2_ac = np.clip(raw_c2_ac, 0.0, 1.0)
     c2_abc = np.clip(raw_c2_abc, 0.0, 1.0)
     tau = np.clip(raw_tau, 0.0, 1.0)
     rhs_f = fei_rhs_values(c2_ab, c2_ac, tau)
-    # C^2 + tau/2 is Tr(rho rho_tilde), a sum of squared moduli: taken from
-    # the pre-clamp values it stays 0 for a pair with no entanglement, where
-    # clamping first would leave the roundoff tau/2 under the square root.
-    rhs_t = tight_rhs_values(raw_c2_ab, raw_c2_ac, raw_tau)
+    # (C^2_X(YZ))^2 - rhs_fei^2 as a sum of non-negative terms; numerator
+    # and denominator are 0 only together (a product state), gap 0.
+    fei_num = (t_ab - t_ac) ** 2 + 2.0 * tau * (c2_ab + c2_ac)
+    fei_den = c2_abc + rhs_f
+    gap_f = np.divide(fei_num, fei_den, out=np.zeros_like(fei_num), where=fei_den > 0.0)
     return {
         "c2_ab": c2_ab,
         "c2_ac": c2_ac,
         "c2_abc": c2_abc,
         "tau": tau,
         "rhs_fei": rhs_f,
-        "rhs_tight": rhs_t,
-        "gap_fei": c2_abc - rhs_f,
-        "gap_tight": c2_abc - rhs_t,
+        "rhs_tight": 2.0 * np.sqrt(t_ab * t_ac),
+        "gap_fei": gap_f,
+        "gap_tight": (np.sqrt(t_ab) - np.sqrt(t_ac)) ** 2,
         "raw_c2_ab": raw_c2_ab,
         "raw_c2_ac": raw_c2_ac,
         "raw_c2_abc": raw_c2_abc,

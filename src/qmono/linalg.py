@@ -2,10 +2,10 @@
 
 Everything here accepts stacked inputs: a matrix argument of shape
 (..., d, d) or a state vector of shape (..., 8) is processed along the
-leading axes in one vectorized pass.  The Hermitian eigensolves are
-numpy's LAPACK drivers (eigh/eigvalsh), behind shape, finiteness and
-Hermiticity checks; a solver that fails to converge raises
-numpy.linalg.LinAlgError, a ValueError.
+leading axes in one vectorized pass.  The Hermitian eigensolve is
+numpy's LAPACK eigh, behind shape, finiteness and Hermiticity checks; a
+solver that fails to converge raises numpy.linalg.LinAlgError, a
+ValueError.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "state_tensor",
     "partial_trace",
     "partial_trace_single",
-    "hermitian_eigenvalues",
     "hermitian_eigensystem",
 ]
 
@@ -114,13 +113,6 @@ def _check_hermitian(a, name):
     dev = np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))))
     if dev > HERMITIAN_TOL:
         raise ValueError(f"{name} is not Hermitian (max |m - m^dag| = {dev:.3e})")
-
-
-def hermitian_eigenvalues(m):
-    """Eigenvalues of a Hermitian matrix, descending, shape (..., d)."""
-    a = _as_matrix(m)
-    _check_hermitian(a, "matrix")
-    return np.linalg.eigvalsh(a)[..., ::-1]
 
 
 def hermitian_eigensystem(m):

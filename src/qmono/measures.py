@@ -8,18 +8,22 @@ sum_k m_k m_k^dag / <psi|psi>, and let
 
     G_kl = m_k^T (sigma_y x sigma_y) m_l      (a symmetric 2x2 matrix).
 
-* Tr(rho_XY rho_tilde_XY) = sum_kl |G_kl|^2 / <psi|psi>^2.
+* T_XY = Tr(rho_XY rho_tilde_XY) = sum_kl |G_kl|^2 / <psi|psi>^2, a sum of
+  squared moduli, so never negative.
 * det G is minus Cayley's hyperdeterminant of the amplitude tensor, so the
   residual tangle is tau = 4 |det G| / <psi|psi>^2 (Coffman, Kundu and
   Wootters, PRA 61, 052306).  It is always taken from the G of the pair
   (A, B), which makes it the same number, bit for bit, at every pivot.
 * rho_XY has rank two, so the lambda spectrum below has lambda_3 =
   lambda_4 = 0 and lambda_1 lambda_2 = tau / 4, which gives C^2_XY =
-  (lambda_1 - lambda_2)^2 = Tr(rho_XY rho_tilde_XY) - tau / 2.
-* C^2_X(YZ) = 2 (1 - Tr rho_X^2) comes from the one-qubit purity.
+  (lambda_1 - lambda_2)^2 = T_XY - tau / 2.
+* The two pair traces of a pivot X add up to the one-to-rest concurrence,
+  C^2_X(YZ) = T_XY + T_XZ (the CKW closure).
 
-The three add up to the closure C^2_X(YZ) = C^2_XY + C^2_XZ + tau up to
-roundoff, because the two pair traces Tr(rho rho_tilde) sum to C^2_X(YZ).
+Reports are built from (T_XY, T_XZ, tau) alone, so the closure C^2_X(YZ)
+= C^2_XY + C^2_XZ + tau holds by construction.  The one-qubit purity,
+C^2_X(YZ) = 2 (1 - Tr rho_X^2), is kept as concurrence_bipartition: an
+independent route that no report uses.
 
 Two-qubit mixed states go through the Wootters concurrence.  With the
 spin-flipped matrix
@@ -28,10 +32,11 @@ spin-flipped matrix
 
 and lambda_1 >= ... >= lambda_4 the square roots of the eigenvalues of
 rho rho_tilde, the concurrence is max(lambda_1 - lambda_2 - lambda_3 -
-lambda_4, 0).  Although rho rho_tilde is not Hermitian, its spectrum
-equals that of the Hermitian matrix S = sqrt(rho) rho_tilde sqrt(rho), so
-the eigensolves of this route (numpy's LAPACK eigh, through linalg) stay
-Hermitian.
+lambda_4, 0).  Following Wootters' construction, write rho = X X^dag;
+the lambdas are then the singular values of the symmetric matrix
+X^T (sigma_y x sigma_y) X, and no square root of the noisy spectrum of
+rho rho_tilde is taken.  The one eigensolve of this route is numpy's LAPACK eigh of rho
+(through linalg).
 It also serves as the independent check of the pure-state route:
 residual_tangle_lambda gives tau as 4 lambda_1 lambda_2 of one marginal.
 
@@ -49,7 +54,6 @@ from .linalg import (
     SPIN_FLIP_4,
     SIGMA_Y,
     hermitian_eigensystem,
-    hermitian_eigenvalues,
     partial_trace,
     partial_trace_single,
     state_tensor,
@@ -72,18 +76,10 @@ __all__ = [
 # Inputs with an eigenvalue below -PSD_TOL are rejected as not PSD.
 PSD_TOL = 1e-10
 
-# Rank-noise guard for the lambda spectrum.  Eigenvalues of S that are
-# exactly zero in exact arithmetic come out as O(1e-15) rounding noise,
-# whose square root is O(3e-8) and would pollute the subtraction in the
-# concurrence far beyond the accuracy of everything else.  A trailing
-# lambda_i is treated as zero when lambda_1 * lambda_i is below this
-# floor.  The product form matters: lambda_1 lambda_2 = tau / 4 for every
-# pair marginal of the same pure state, so the decision is consistent
-# across pairs and pivots.  The price is that a marginal of a pure state
-# within ~1e-6 of the tau = 0 manifold reads as tau = 0 here, which is
-# why reports use pure_state_invariants instead.  Rank-1 inputs (pure
-# two-qubit projectors) rely on the floor to come out exact.
-LAMBDA_NOISE_FLOOR = 3e-7
+# Eigenvalues of rho at or below RANK_CUT * w_max are roundoff of rho
+# itself and are dropped from its factor X: a cut relative to rho's own
+# scale, as numpy's matrix_rank makes it, not an absolute floor.
+RANK_CUT = 16.0 * np.finfo(np.float64).eps
 
 
 def _as_square(rho, d, name):
@@ -120,24 +116,20 @@ def lambda_spectrum(rho):
 
     Notes
     -----
-    Computed from the Hermitian proxy S = sqrt(rho) rho_tilde sqrt(rho),
-    which shares the spectrum of rho rho_tilde.  Negative eigenvalue
-    noise is clamped to zero before each square root, and trailing
-    lambdas below the rank-noise floor (see LAMBDA_NOISE_FLOOR) are
-    zeroed.
+    Wootters' construction: with rho = X X^dag and X = U sqrt(w) from the
+    eigensystem (w, U) of rho, the eigenvalues of rho rho_tilde are those
+    of M^dag M for the symmetric M = X^T (sigma_y x sigma_y) X, so the
+    lambdas are the singular values of M.  Eigenvalues w <= RANK_CUT *
+    w_max are dropped from X; nothing is zeroed after the singular value
+    decomposition.
     """
     rho = _as_square(rho, 4, "rho")
     w, u = hermitian_eigensystem(rho)
     if np.min(w) < -PSD_TOL:
         raise ValueError(f"input is not PSD (eigenvalue {np.min(w):.3e})")
-    sq = np.einsum("...ik,...k,...jk->...ij", u, np.sqrt(np.maximum(w, 0.0)), np.conj(u))
-    s = sq @ spin_flip_two_qubit(rho) @ sq
-    # symmetrize away the O(eps) products asymmetry before the eigensolve
-    s = (s + np.conj(np.swapaxes(s, -1, -2))) / 2.0
-    lam = np.sqrt(np.maximum(hermitian_eigenvalues(s), 0.0))
-    tail = lam[..., :1] * lam[..., 1:] < LAMBDA_NOISE_FLOOR
-    lam[..., 1:] = np.where(tail, 0.0, lam[..., 1:])
-    return lam
+    w = np.where(w > RANK_CUT * w[..., :1], w, 0.0)
+    x = u * np.sqrt(w)[..., None, :]
+    return np.linalg.svd(np.swapaxes(x, -1, -2) @ SPIN_FLIP_4 @ x, compute_uv=False)
 
 
 def concurrence_raw(rho):
@@ -152,14 +144,7 @@ def concurrence_mixed(rho):
 
 
 def concurrence_pure_2q(psi4):
-    """Concurrence of a pure two-qubit state.
-
-    Evaluates both closed forms, |<psi| sigma_y x sigma_y |conj(psi)>| and
-    2 sqrt(det rho_A), requires their squares to agree within 1e-12, and
-    returns the overlap form.  The squares are compared because near
-    C = 0 the determinant cancels to roundoff and the square root would
-    amplify that noise to ~1e-8.
-    """
+    """Concurrence of a pure two-qubit state, |<psi| sigma_y x sigma_y |conj(psi)>|."""
     psi4 = np.asarray(psi4, dtype=np.complex128)
     if psi4.shape[-1] != 4:
         raise ValueError(f"need 4 amplitudes, got shape {psi4.shape}")
@@ -168,11 +153,6 @@ def concurrence_pure_2q(psi4):
         raise ValueError("state is not normalized within tolerance")
     psi4 = psi4 / norm[..., None]
     overlap = 2.0 * np.abs(psi4[..., 0] * psi4[..., 3] - psi4[..., 1] * psi4[..., 2])
-    t = psi4.reshape(psi4.shape[:-1] + (2, 2))
-    rho_a = np.einsum("...ik,...jk->...ij", t, np.conj(t))
-    det = np.real(rho_a[..., 0, 0] * rho_a[..., 1, 1] - rho_a[..., 0, 1] * rho_a[..., 1, 0])
-    if np.max(np.abs(overlap**2 - 4.0 * det)) > 1e-12:
-        raise ValueError("pure-state concurrence formulas disagree beyond 1e-12")
     return np.clip(overlap, 0.0, 1.0)
 
 
@@ -218,12 +198,13 @@ def _abs2(z):
 
 
 def pure_state_invariants(psi, pivot="A"):
-    """Pre-clamp (C^2_XY, C^2_XZ, C^2_X(YZ), tau) of pure three-qubit states.
+    """(T_XY, T_XZ, tau) of pure three-qubit states, every report column's source.
 
-    X is the pivot and Y, Z its partners in label order.  tau is 4 |Det|
-    (Cayley's hyperdeterminant) and C^2_XY = Tr(rho_XY rho_tilde_XY) -
-    tau / 2, both divided by <psi|psi>^2; C^2_X(YZ) is 2 (1 - Tr rho_X^2).
-    No value is clamped: roundoff can leave a C^2 slightly below 0.
+    X is the pivot and Y, Z its partners in label order.  T_XY =
+    Tr(rho_XY rho_tilde_XY) is a sum of squared moduli and tau = 4 |Det|
+    (Cayley's hyperdeterminant), both divided by <psi|psi>^2, so none of
+    the three is negative.  Then C^2_XY = T_XY - tau / 2 and C^2_X(YZ) =
+    T_XY + T_XZ.
     """
     pair1, pair2 = pivot_pairs(pivot)
     t, norm2 = state_tensor(psi)
@@ -233,11 +214,11 @@ def pure_state_invariants(psi, pivot="A"):
     g00, g01, g11 = forms["C"]
     tau = 4.0 * np.abs(g01 * g01 - g00 * g11) / norm4
 
-    def c2_pair(traced):
+    def pair_trace(traced):
         g00, g01, g11 = forms[traced]
-        return (_abs2(g00) + 2.0 * _abs2(g01) + _abs2(g11)) / norm4 - tau / 2.0
+        return (_abs2(g00) + 2.0 * _abs2(g01) + _abs2(g11)) / norm4
 
-    return c2_pair(pair2[1]), c2_pair(pair1[1]), bipartition_c2_raw(psi, pivot), tau
+    return pair_trace(pair2[1]), pair_trace(pair1[1]), tau
 
 
 def residual_tangle(psi, pivot="A"):
@@ -246,7 +227,7 @@ def residual_tangle(psi, pivot="A"):
     Computed by pure_state_invariants, so it is identical at every pivot;
     the pivot is still checked.
     """
-    return np.clip(pure_state_invariants(psi, pivot)[3], 0.0, 1.0)
+    return np.clip(pure_state_invariants(psi, pivot)[2], 0.0, 1.0)
 
 
 def residual_tangle_lambda(psi, pair=("A", "B")):

@@ -137,18 +137,29 @@ class TestEnsemble:
         assert not out.exists()
 
     def test_invariant_violation_exits_3_but_writes(self, tmp_path, capsys, monkeypatch):
-        real = experiments.run_ensemble
+        def tampered(run):
+            def wrapper(*args, **kwargs):
+                out = run(*args, **kwargs)
+                (out[0] if isinstance(out, tuple) else out)["tau"][0] = 2.0
+                return out
+            return wrapper
 
-        def tampered(config):
-            table, summary = real(config)
-            table["tau"][0] += 0.5
-            return table, summary
-
-        monkeypatch.setattr(experiments, "run_ensemble", tampered)
-        out = tmp_path / "runs.csv"
-        assert run_cli(["ensemble", "--family", "ghz", "--n", "2", "--out", str(out)]) == 3
-        assert out.exists()
-        assert "invariant violation" in capsys.readouterr().err
+        for name in ("run_ensemble", "run_scan", "run_figure"):
+            monkeypatch.setattr(experiments, name, tampered(getattr(experiments, name)))
+        runs = [
+            (["ensemble", "--family", "ghz", "--n", "2", "--out", str(tmp_path / "runs.csv")],
+             tmp_path / "runs.csv"),
+            (["scan", "--family", "bell-product", "--from", "0", "--to", "1", "--steps", "5",
+              "--out", str(tmp_path / "scan.csv")], tmp_path / "scan.csv"),
+            (["figures", "--which", "3", "--n", "4", "--out-dir", str(tmp_path / "figs")],
+             tmp_path / "figs" / "fig3.csv"),
+        ]
+        for args, out in runs:
+            assert run_cli(args) == 3
+            assert out.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("invariant violation: row 0: tau closure off by ")
+            assert err.count("\n") == 1
 
 
 class TestScan:

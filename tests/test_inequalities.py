@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,7 +156,6 @@ class TestInvariantRoute:
             raise AssertionError("pure-state reports must not call the eigensolver")
 
         monkeypatch.setattr(measures, "hermitian_eigensystem", refuse)
-        monkeypatch.setattr(measures, "hermitian_eigenvalues", refuse)
         psis = random_pure_state(rng, 8, batch=(8,))
         for pivot in ("A", "B", "C"):
             inequalities.monogamy_table(psis, pivot)
@@ -219,14 +219,91 @@ class TestInvariantRoute:
     def test_matches_lambda_route(self, rng):
         psis = random_pure_state(rng, 8, batch=(50,))
         for pivot in ("A", "B", "C"):
-            c2_ab, c2_ac, _, tau = measures.pure_state_invariants(psis, pivot)
+            t_ab, t_ac, tau = measures.pure_state_invariants(psis, pivot)
             pair1, pair2 = measures.pivot_pairs(pivot)
-            for pair, c2 in ((pair1, c2_ab), (pair2, c2_ac)):
+            for pair, t in ((pair1, t_ab), (pair2, t_ac)):
                 rho = measures.partial_trace(psis, pair)
-                np.testing.assert_allclose(c2, measures.concurrence_mixed(rho) ** 2, atol=1e-10)
+                np.testing.assert_allclose(t - tau / 2.0, measures.concurrence_mixed(rho) ** 2,
+                                           atol=1e-10)
             np.testing.assert_allclose(tau, measures.residual_tangle_lambda(psis, pair1),
                                        atol=1e-9)
+
+    def test_closure_matches_purity_route(self, rng):
+        # C^2_X(YZ) = T_XY + T_XZ against the independent 2 (1 - Tr rho_X^2)
+        psis = random_pure_state(rng, 8, batch=(500,))
+        for pivot in ("A", "B", "C"):
+            table = inequalities.monogamy_table(psis, pivot)
+            np.testing.assert_allclose(table["raw_c2_abc"],
+                                       measures.bipartition_c2_raw(psis, pivot), atol=1e-14)
 
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError, match="normalized"):
             inequalities.monogamy_table(2.0 * states.make_ghz()[None, :], "A")
+
+
+def partner_swap_symmetric(psis, pivot):
+    """The states symmetrized under the swap of the pivot's two partners."""
+    partners = [k for k, q in enumerate("ABC") if q != pivot]
+    t = psis.reshape(-1, 2, 2, 2)
+    axes = [0, 1, 2, 3]
+    axes[1 + partners[0]], axes[1 + partners[1]] = axes[1 + partners[1]], axes[1 + partners[0]]
+    sym = (t + np.transpose(t, axes)).reshape(-1, 8)
+    return sym / np.linalg.norm(sym, axis=-1, keepdims=True)
+
+
+class TestExactByConstruction:
+    """Identities that hold bit for bit, from the (T_XY, T_XZ, tau) forms."""
+
+    @pytest.mark.parametrize("family", ["w", "ghz"])
+    @pytest.mark.parametrize("pivot", ["A", "B", "C"])
+    def test_canonical_saturated_states_have_zero_gap(self, family, pivot):
+        r = inequalities.build_report(states.StateFamilySpec(family=family).build(), pivot)
+        assert r.gap_tight == 0.0
+        assert r.gap_fei == 0.0
+        assert r.rhs_tight == r.c2_abc
+
+    @pytest.mark.parametrize("pivot", ["A", "B", "C"])
+    def test_partner_symmetric_states_have_zero_gap(self, pivot):
+        # C_XY = C_XZ exactly, so the tight bound is saturated exactly
+        psis = partner_swap_symmetric(states.sample_haar_batch(5, 300), pivot)
+        table = inequalities.monogamy_table(psis, pivot)
+        np.testing.assert_array_equal(table["c2_ab"], table["c2_ac"])
+        np.testing.assert_array_equal(table["gap_tight"], 0.0)
+        assert np.all(inequalities.classify_gaps(table["gap_tight"]) == "saturated")
+
+    @pytest.mark.parametrize("pivot", ["A", "B", "C"])
+    def test_no_negative_gap_on_haar_states(self, pivot):
+        table = inequalities.monogamy_table(states.sample_haar_batch(11, 10_000), pivot)
+        assert np.all(table["gap_tight"] >= 0.0)
+        assert np.all(table["gap_fei"] >= 0.0)
+        assert np.all(table["gap_tight"] <= table["gap_fei"] + 1e-15)
+        # the closed-form gaps are the differences they stand for
+        np.testing.assert_allclose(table["gap_tight"], table["c2_abc"] - table["rhs_tight"],
+                                   atol=1e-14)
+        np.testing.assert_allclose(table["gap_fei"], table["c2_abc"] - table["rhs_fei"],
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-6])
+    def test_gaps_keep_relative_accuracy_near_saturation(self, delta):
+        # a|100> + b|010> + c|001> with b = c + delta: tau = 0 exactly, and both
+        # gaps equal 4 a^2 (b - c)^2 / N^2 (N = a^2 + b^2 + c^2), computed here
+        # in exact rationals; a difference of two rounded values would only
+        # be right to ~1e-16 absolute, far from this value's own scale
+        c = 0.5656854249492381
+        b = c + delta
+        a = math.sqrt(1.0 - b * b - c * c)
+        psi = np.zeros(8, dtype=complex)
+        psi[4], psi[2], psi[1] = a, b, c
+        r = inequalities.build_report(psi, "A")
+        assert r.tau == 0.0
+        fa, fb, fc = (Fraction(v) for v in (a, b, c))
+        want = float(4 * fa**2 * (fb - fc) ** 2 / (fa**2 + fb**2 + fc**2) ** 2)
+        assert r.gap_tight == pytest.approx(want, rel=1e-8, abs=0)
+        assert r.gap_fei == pytest.approx(want, rel=1e-8, abs=0)
+
+    def test_product_state_has_zero_gaps_without_division(self):
+        psi = np.zeros(8, dtype=complex)
+        psi[5] = 1.0
+        for pivot in ("A", "B", "C"):
+            r = inequalities.build_report(psi, pivot)
+            assert (r.c2_abc, r.rhs_fei, r.gap_fei, r.gap_tight) == (0.0, 0.0, 0.0, 0.0)

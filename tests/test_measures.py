@@ -21,6 +21,23 @@ def bell_psi_minus():
     return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
+def det_concurrence(psi4):
+    """2 sqrt(det rho_A) of pure two-qubit states, and the squared form 4 det rho_A."""
+    t = np.asarray(psi4).reshape(np.shape(psi4)[:-1] + (2, 2))
+    rho_a = np.einsum("...ik,...jk->...ij", t, np.conj(t))
+    rho_a = rho_a / np.trace(rho_a, axis1=-2, axis2=-1)[..., None, None]
+    det = np.real(rho_a[..., 0, 0] * rho_a[..., 1, 1] - rho_a[..., 0, 1] * rho_a[..., 1, 0])
+    return 2.0 * np.sqrt(np.maximum(det, 0.0)), 4.0 * det
+
+
+def random_local_unitary(rng):
+    """U_A x U_B with each factor Haar-random on one qubit."""
+    def one(rng):
+        q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+    return np.kron(one(rng), one(rng))
+
+
 def werner(p):
     """p |Psi-><Psi-| + (1-p) I/4, concurrence max(0, (3p-1)/2)."""
     psi = bell_psi_minus()
@@ -66,6 +83,35 @@ class TestLambdaSpectrum:
         lam = measures.lambda_spectrum(np.outer(psi, psi.conj()))
         np.testing.assert_allclose(lam, 0.0, atol=1e-12)
 
+    def test_rank_one_projectors_are_exact(self, rng):
+        # rank one: no eigenvalue noise of rho reaches the singular values
+        s = 1.0 / math.sqrt(2.0)
+        bells = [[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0], [s, 0, 0, 1j * s]]
+        products = [np.eye(4)[k] for k in range(4)] + [np.kron([0.6, 0.8j], [s, s])]
+        psis = np.array(bells + products, dtype=complex)
+        lam = measures.lambda_spectrum(np.einsum("ni,nj->nij", psis, np.conj(psis)))
+        want = np.zeros((len(psis), 4))
+        want[: len(bells), 0] = 1.0
+        np.testing.assert_allclose(lam, want, atol=1e-15, rtol=0)
+        # under local unitaries the same holds up to the roundoff of U itself
+        u = np.stack([random_local_unitary(rng) for _ in range(200)])
+        for k, psi in ((1.0, psis[0]), (0.0, psis[len(bells)])):
+            phi = u @ psi
+            lam = measures.lambda_spectrum(np.einsum("ni,nj->nij", phi, np.conj(phi)))
+            np.testing.assert_allclose(lam, np.broadcast_to([k, 0, 0, 0], lam.shape),
+                                       atol=1e-14, rtol=0)
+
+    @pytest.mark.parametrize("p", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_small_weight_mixture_is_resolved(self, p):
+        # (1-p) Phi+ + p Psi+ has lambdas (1-p, p, 0, 0) and C = 1 - 2p; the
+        # weight p survives however small it is against rho's own scale
+        s = 1.0 / math.sqrt(2.0)
+        phi, psi = np.array([s, 0, 0, s]), np.array([0, s, s, 0])
+        rho = (1.0 - p) * np.outer(phi, phi) + p * np.outer(psi, psi)
+        np.testing.assert_allclose(measures.lambda_spectrum(rho), [1.0 - p, p, 0.0, 0.0],
+                                   atol=1e-15, rtol=0)
+        assert measures.concurrence_mixed(rho) == pytest.approx(1.0 - 2.0 * p, abs=1e-15)
+
     def test_maximally_mixed(self):
         lam = measures.lambda_spectrum(np.eye(4, dtype=complex) / 4.0)
         np.testing.assert_allclose(lam, 0.25, atol=1e-12)
@@ -86,11 +132,7 @@ class TestLambdaSpectrum:
         sy_sy = np.kron([[0.0, -1.0j], [1.0j, 0.0]], [[0.0, -1.0j], [1.0j, 0.0]])
         ev = np.linalg.eigvals(rho @ sy_sy @ np.conj(rho) @ sy_sy)
         want = np.sqrt(np.maximum(np.sort(ev.real, axis=-1)[:, ::-1], 0.0))
-        # the noise floor zeroes trailing lambdas; keep the full-rank ones
-        above = want[:, 0] * want[:, 3] > 10.0 * measures.LAMBDA_NOISE_FLOOR
-        assert above.sum() >= 150
-        got = measures.lambda_spectrum(rho[above])
-        np.testing.assert_allclose(got, want[above], atol=1e-8, rtol=0)
+        np.testing.assert_allclose(measures.lambda_spectrum(rho), want, atol=1e-8, rtol=0)
 
     def test_rejects_negative_spectrum(self):
         rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
@@ -123,11 +165,15 @@ class TestConcurrenceMixed:
 
 class TestConcurrencePure2q:
     def test_bell_is_maximal(self):
-        assert measures.concurrence_pure_2q(bell_psi_minus()) == pytest.approx(1.0, abs=1e-15)
+        psi = bell_psi_minus()
+        assert measures.concurrence_pure_2q(psi) == pytest.approx(1.0, abs=1e-15)
+        assert det_concurrence(psi)[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_product_is_zero(self):
         psi = np.array([0.6, 0.0, 0.8, 0.0], dtype=complex)
         assert measures.concurrence_pure_2q(psi) == pytest.approx(0.0, abs=1e-15)
+        # the root of the determinant form would read 1.5e-8 here; its square is 0
+        assert det_concurrence(psi)[1] == pytest.approx(0.0, abs=1e-15)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
@@ -139,6 +185,15 @@ class TestConcurrencePure2q:
         det = np.linalg.det(rho_a).real
         want = 2.0 * math.sqrt(max(det, 0.0))
         assert measures.concurrence_pure_2q(psi) == pytest.approx(want, abs=1e-12)
+
+    def test_squares_match_determinant_form(self, rng):
+        # C^2 = 4 det rho_A; the squares are compared because near C = 0 the
+        # determinant cancels to roundoff and its square root amplifies that
+        psis = random_pure_state(rng, 4, batch=(1000,))
+        psis[:10] = np.kron([0.6, 0.8j], [1.0, 0.0])
+        psis[10:20] *= 1.0 + 0.9e-6  # the edge of the norm window
+        got = measures.concurrence_pure_2q(psis)
+        np.testing.assert_allclose(got**2, det_concurrence(psis)[1], atol=1e-12, rtol=0)
 
     def test_agrees_with_mixed_route_on_projector(self, rng):
         for _ in range(25):
@@ -183,6 +238,17 @@ class TestTangle:
         assert measures.pivot_pairs("C") == (("C", "A"), ("C", "B"))
         with pytest.raises(ValueError):
             measures.pivot_pairs("Q")
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+    def test_lambda_route_resolves_small_tangle(self, eps):
+        # W + eps GHZ has tau ~ 2.2 eps; no floor reads it as 0 on any pair
+        psi = states.make_w() + eps * states.make_ghz()
+        psi = psi / np.linalg.norm(psi)
+        tau = measures.residual_tangle(psi, "A")
+        assert tau > eps
+        for pair in (("A", "B"), ("A", "C"), ("B", "C")):
+            got = measures.residual_tangle_lambda(psi, pair)
+            assert got == pytest.approx(tau, rel=1e-6, abs=0)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
