@@ -40,27 +40,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _report_dict(report) -> dict:
-    d = dataclasses.asdict(report)
-    d["class"] = classify(report)
-    return d
-
-
-def _print_report(report, fmt: str, family: str) -> None:
-    d = _report_dict(report)
+def _print_report(report, label: str, fmt: str, family: str) -> None:
+    d = {**dataclasses.asdict(report), "class": label}
     order = ["pivot", "c2_ab", "c2_ac", "c2_abc", "tau",
              "rhs_fei", "rhs_tight", "gap_fei", "gap_tight", "class"]
     for key in order:
-        value = d[key]
-        if isinstance(value, float):
-            value = experiments.format_number(value)
-        print(f"{key:<12}: {value}")
+        print(f"{key:<12}: {experiments.format_number(d[key])}")
     if fmt == "csv":
-        row = {k: d[k] for k in experiments.CSV_COLUMNS if k in d}
-        row.update(index=0, family=family)
-        cols = experiments.CSV_COLUMNS
-        print(",".join(cols))
-        print(",".join(experiments.format_number(row.get(c, "")) for c in cols))
+        row = {**d, "index": 0, "family": family}
+        table = {k: np.array([v]) for k, v in row.items() if k in experiments.CSV_COLUMNS}
+        sys.stdout.writelines(experiments.format_rows(table, experiments.CSV_COLUMNS, "csv"))
     else:
         print(json.dumps(d, sort_keys=True))
 
@@ -94,8 +83,9 @@ def cmd_analyze(args) -> int:
     else:
         psi = _spec_from_args(args).build()
     report = build_report(psi, args.pivot, args.tol)
-    _print_report(report, args.format, args.family if args.state is None else "file")
-    if classify(report, args.tol) == "violated":
+    label = classify(report, args.tol)
+    _print_report(report, label, args.format, args.family if args.state is None else "file")
+    if label == "violated":
         print(f"invariant violation: gap_tight = {report.gap_tight!r}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
@@ -159,11 +149,11 @@ def cmd_figures(args) -> int:
 def cmd_discrepancy(args) -> int:
     family = {"a": "canonical-a", "b": "canonical-b"}.get(args.family, args.family)
     rows = experiments.run_discrepancy(family, n=args.n, seed=args.seed)
+    table = {c: np.array([r[c] for r in rows]) for c in _DISCREPANCY_COLUMNS}
     if args.out is not None:
-        table = {c: np.array([r[c] for r in rows]) for c in _DISCREPANCY_COLUMNS}
         experiments.write_rows(args.out, table, _DISCREPANCY_COLUMNS, "csv")
     if args.format == "json":
-        print(json.dumps(rows, indent=1))
+        sys.stdout.writelines(experiments.format_rows(table, _DISCREPANCY_COLUMNS, "json"))
         return EXIT_OK
     width = max(len(r["formula"]) for r in rows)
     print(f"{'formula':<{width}}  {'max |dev|':>11}  note")

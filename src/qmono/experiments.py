@@ -6,17 +6,19 @@ arrays keyed by column name, from the sampler through the monogamy table
 to the writer, with no per-row Python on the way.  A column the table
 lacks is written empty in every row (the parameters of a Haar ensemble,
 say).  A scan table also carries a boolean `feasible` entry: a grid point
-with no state keeps only its index, family and note.  Serialization uses
-one fixed CSV schema so all outputs stay interchangeable for downstream
-plotting; numbers are written with 17 significant digits (round-trip
-exact for doubles) and the tables are re-validated against the report
-invariants by array reductions.
+with no state keeps only its index, family and note.  CSV and JSON come
+from one block formatter, `format_rows`, over one fixed schema so all
+outputs stay interchangeable for downstream plotting; CSV numbers are
+written with 17 significant digits and JSON floats as `json` writes them
+(both round-trip exact for doubles), and the tables are re-validated
+against the report invariants by array reductions.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -36,7 +38,7 @@ __all__ = [
     "summarize",
     "validate_rows",
     "write_rows",
-    "records",
+    "format_rows",
     "format_number",
 ]
 
@@ -51,8 +53,12 @@ _METRIC_KEYS = ("c2_ab", "c2_ac", "c2_abc", "tau", "rhs_fei", "rhs_tight", "gap_
 _PARAM_KEYS = ("p1", "p2", "p3", "p4", "p5")
 # The cells an infeasible scan point keeps.
 _INFEASIBLE_KEEPS = ("index", "family", "note")
-# Rows formatted per string operation when writing CSV.
+# Rows formatted per string operation when writing a table.
 WRITE_BLOCK_ROWS = 4096
+# validate_rows: the CKW closure C2_X(YZ) = C2_XY + C2_XZ + tau a row may miss by.
+CLOSURE_TOL = 1e-9
+# validate_rows: roundoff slack on gap_tight <= gap_fei and on each C2 and tau in [0, 1].
+BOUND_SLACK = 1e-12
 
 # Fixed coefficients of the canonical-a parameter-sweep slice.
 SWEEP_DEFAULTS = {"p2": 0.17, "p3": 0.16, "p4": 0.15, "theta": 0.0}
@@ -243,12 +249,12 @@ def validate_rows(table):
     c2_ab, c2_ac, c2_abc, tau = (table[k] for k in ("c2_ab", "c2_ac", "c2_abc", "tau"))
     gap_fei, gap_tight = table["gap_fei"], table["gap_tight"]
     closure = np.abs(c2_abc - (c2_ab + c2_ac + tau))
-    checks = [(closure > 1e-9, lambda i: f"tau closure off by {closure[i]:.3e}"),
-              (gap_tight > gap_fei + 1e-12,
+    checks = [(closure > CLOSURE_TOL, lambda i: f"tau closure off by {closure[i]:.3e}"),
+              (gap_tight > gap_fei + BOUND_SLACK,
                lambda i: "tight gap exceeds the product-form gap")]
     for key in ("c2_ab", "c2_ac", "c2_abc", "tau"):
         col = table[key]
-        checks.append((~((-1e-12 <= col) & (col <= 1.0 + 1e-12)),
+        checks.append((~((-BOUND_SLACK <= col) & (col <= 1.0 + BOUND_SLACK)),
                        lambda i, key=key, col=col: f"{key} = {float(col[i])!r} outside [0, 1]"))
     checks.append((table["class"] == "violated",
                    lambda i: f"negative tight gap {gap_tight[i]:.3e} beyond tolerance"))
@@ -265,71 +271,73 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _csv_cells(col) -> np.ndarray:
+# How each format writes a table: `quote` gives a string cell's text (an
+# empty cell is quote("")), `float` the %-field of a float (%r is what json
+# writes for a finite one; ints are %d), `key` the text before a cell; a row
+# is `open` + cells joined by `sep` + `close`, rows are joined by `between`,
+# and the table sits between `head(columns)` and `tail`.
+_FORMATS = {
+    "csv": SimpleNamespace(quote=_csv_field, float="%.17g", key=lambda c: "",
+                           head=lambda columns: ",".join(map(_csv_field, columns)) + "\n",
+                           open="", sep=",", close="\n", between="", tail=""),
+    "json": SimpleNamespace(quote=json.dumps, float="%r", key=lambda c: f"  {json.dumps(c)}: ",
+                            head=lambda columns: "[", open="\n {\n", sep=",\n", close="\n }",
+                            between=",", tail="\n]\n"),
+}
+
+
+def _cells(col, quote) -> np.ndarray:
     """A column ready for %-formatting: numbers as they are, strings quoted."""
     if col.dtype.kind in "iuf":
         return col
     values, inverse = np.unique(col, return_inverse=True)
-    return np.array([_csv_field(str(v)) for v in values], dtype=object)[inverse.reshape(-1)]
+    return np.array([quote(str(v)) for v in values], dtype=object)[inverse.reshape(-1)]
 
 
-def _csv_template(table, columns, keep) -> tuple[str, list[str]]:
-    """The %-format of one CSV row writing the columns in `keep`, and those columns."""
+def _row_template(table, columns, keep, spec) -> tuple[str, list[str]]:
+    """The %-format of one row writing the columns in `keep`, and those columns."""
     fields, written = [], []
     for c in columns:
         if c in keep:
             kind = table[c].dtype.kind
-            fields.append("%d" if kind in "iu" else "%.17g" if kind == "f" else "%s")
+            field = "%d" if kind in "iu" else spec.float if kind == "f" else "%s"
             written.append(c)
         else:
-            fields.append("")
-    return ",".join(fields) + "\n", written
+            field = spec.quote("")
+        fields.append(spec.key(c) + field)
+    return spec.open + spec.sep.join(fields) + spec.close, written
 
 
-def _csv_blocks(table, columns):
-    """The CSV body in blocks of at most WRITE_BLOCK_ROWS rows, one template per run."""
-    n = _length(table)
-    feasible = _feasible(table)
+def format_rows(table, columns, fmt):
+    """The text of a table in `fmt` ("csv" or "json"): its header line or "[",
+    blocks of at most WRITE_BLOCK_ROWS rows (one row template per block), and
+    its closing text."""
+    spec = _FORMATS[fmt]
+    n, feasible = _length(table), _feasible(table)
     present = [c for c in columns if c in table]
-    layouts = {True: _csv_template(table, columns, present),
-               False: _csv_template(table, columns,
-                                    [c for c in present if c in _INFEASIBLE_KEEPS])}
-    cells = {c: _csv_cells(np.asarray(table[c])) for c in present}
+    layouts = {True: _row_template(table, columns, present, spec),
+               False: _row_template(table, columns,
+                                    [c for c in present if c in _INFEASIBLE_KEEPS], spec)}
+    cells = {c: _cells(np.asarray(table[c]), spec.quote) for c in present}
     changes = (np.flatnonzero(feasible[1:] != feasible[:-1]) + 1).tolist()
     starts = sorted(set(range(0, n, WRITE_BLOCK_ROWS)).union(changes))
+    yield spec.head(columns)
     for a, b in zip(starts, starts[1:] + [n]):
         template, written = layouts[bool(feasible[a])]
         block = np.empty((b - a, len(written)), dtype=object)
         for j, c in enumerate(written):
             block[:, j] = cells[c][a:b]
-        yield (template * (b - a)) % tuple(block.reshape(-1).tolist())
-
-
-def records(table, columns) -> list[dict]:
-    """The table as one dict per row, in column order, empty cells as ""."""
-    feasible = _feasible(table).tolist()
-    cols = [(c, np.asarray(table[c]).tolist() if c in table else None) for c in columns]
-    return [{c: v[i] if v is not None and (ok or c in _INFEASIBLE_KEEPS) else "" for c, v in cols}
-            for i, ok in enumerate(feasible)]
+        text = spec.between.join([template] * (b - a)) % tuple(block.reshape(-1).tolist())
+        yield spec.between + text if a else text
+    yield spec.tail
 
 
 def write_rows(path, table, columns, fmt="csv"):
-    """Serialize a table to CSV (17 significant digits) or JSON.
-
-    CSV is formatted from one row template per block of rows, so the text
-    of a large table never exists in memory whole.
-    """
-    if fmt not in ("csv", "json"):
+    """Write the blocks of format_rows to a file; the whole text never exists at once."""
+    if fmt not in _FORMATS:
         raise ValueError(f"format must be csv or json, got {fmt!r}")
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(records(table, columns), fh, indent=1)
-            fh.write("\n")
-        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_csv_field(c) for c in columns) + "\n")
-        for block in _csv_blocks(table, columns):
-            fh.write(block)
+        fh.writelines(format_rows(table, columns, fmt))
 
 
 def run_discrepancy(family, n=200, seed=0):
@@ -342,6 +350,8 @@ def run_discrepancy(family, n=200, seed=0):
     """
     if family not in ("canonical-a", "canonical-b"):
         raise ValueError(f"discrepancy supports the canonical families, got {family!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
     cand = (closed_forms.canonical_a_candidates if family == "canonical-a"
             else closed_forms.canonical_b_candidates)

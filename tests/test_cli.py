@@ -37,6 +37,26 @@ class TestAnalyze:
         assert rec["family"] == "w"
         assert float(rec["c2_ab"]) == pytest.approx(4.0 / 9.0, abs=1e-9)
 
+    def test_tol_sets_printed_class(self, capsys):
+        argv = ["analyze", "--family", "bell-product", "--p1", "0.6"]
+        assert run_cli(argv) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["class"] == "strict"
+        assert payload["saturated_tight"] is False
+        assert run_cli(argv + ["--tol", "0.5"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["class"] == "saturated"
+        assert payload["saturated_tight"] is True
+
+    def test_tol_sets_csv_class(self, capsys):
+        argv = ["analyze", "--family", "bell-product", "--p1", "0.6", "--format", "csv"]
+        for extra, label in (([], "strict"), (["--tol", "0.5"], "saturated")):
+            assert run_cli(argv + extra) == 0
+            lines = capsys.readouterr().out.strip().splitlines()
+            rec = dict(zip(experiments.CSV_COLUMNS, lines[-1].split(",")))
+            assert rec["class"] == label
+            assert f"class       : {label}" in lines
+
     def test_state_file_all_zeros(self, tmp_path, capsys):
         path = tmp_path / "product.json"
         path.write_text(json.dumps([[1.0, 0.0]] + [[0.0, 0.0]] * 7))
@@ -241,6 +261,16 @@ class TestDiscrepancy:
         assert {"formula", "max_abs_dev", "note"} <= set(rows[0])
         with open(out, newline="") as fh:
             assert len(list(csv.DictReader(fh))) == len(rows)
+
+    def test_json_matches_row_dicts(self, capsys):
+        assert run_cli(["discrepancy", "--family", "a", "--n", "30", "--seed", "4",
+                        "--format", "json"]) == 0
+        rows = experiments.run_discrepancy("canonical-a", n=30, seed=4)
+        assert capsys.readouterr().out == json.dumps(rows, indent=1) + "\n"
+
+    def test_empty_sample_exits_2(self, capsys):
+        assert run_cli(["discrepancy", "--family", "a", "--n", "0"]) == 2
+        assert capsys.readouterr().err == "error: n must be at least 1\n"
 
     def test_long_family_names_accepted(self, capsys):
         assert run_cli(["discrepancy", "--family", "canonical-b", "--n", "20"]) == 0

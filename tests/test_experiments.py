@@ -76,7 +76,12 @@ class TestRunEnsemble:
         table, _ = experiments.run_ensemble(small_config(family="haar"))
         assert "p1" not in table
         assert "theta" not in table
-        row = experiments.records(table, experiments.CSV_COLUMNS)[0]
+        text = "".join(experiments.format_rows(table, experiments.CSV_COLUMNS, "csv"))
+        row = next(csv.DictReader(io.StringIO(text)))
+        assert row["p1"] == ""
+        assert row["theta"] == ""
+        text = "".join(experiments.format_rows(table, experiments.CSV_COLUMNS, "json"))
+        row = json.loads(text)[0]
         assert row["p1"] == ""
         assert row["theta"] == ""
 
@@ -181,7 +186,11 @@ class TestRunScan:
         assert table["note"][0] == ""
         assert "infeasible" in table["note"][2]
         assert not table["feasible"][2]
-        assert experiments.records(table, experiments.SCAN_COLUMNS)[2]["c2_ab"] == ""
+        text = "".join(experiments.format_rows(table, experiments.SCAN_COLUMNS, "csv"))
+        written = list(csv.DictReader(io.StringIO(text)))
+        assert written[2]["c2_ab"] == ""
+        assert written[2]["note"] == table["note"][2]
+        assert written[0]["c2_ab"] != ""
 
     def test_canonical_slice_feasibility_boundary(self):
         table = experiments.run_scan("canonical-a", 0.9, 1.0, 6)
@@ -269,6 +278,15 @@ class TestWriteRows:
         with pytest.raises(ValueError):
             experiments.write_rows(tmp_path / "x", {}, experiments.CSV_COLUMNS, fmt="xml")
 
+    def test_unknown_format_leaves_existing_file(self, tmp_path):
+        table, _ = experiments.run_ensemble(small_config(count=3))
+        path = tmp_path / "x.csv"
+        experiments.write_rows(path, table, experiments.CSV_COLUMNS)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            experiments.write_rows(path, table, experiments.CSV_COLUMNS, fmt="xml")
+        assert path.read_bytes() == before
+
 
 class TestDiscrepancy:
     def test_family_a_findings(self):
@@ -295,6 +313,10 @@ class TestDiscrepancy:
     def test_rejects_other_families(self):
         with pytest.raises(ValueError):
             experiments.run_discrepancy("haar")
+
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            experiments.run_discrepancy("canonical-a", n=0)
 
 
 # Reference rows built one index at a time with scalar code, the way the
@@ -416,6 +438,13 @@ class TestByteIdentity:
                                 experiments.CSV_COLUMNS, fmt)
         assert _written(tmp_path, table, experiments.CSV_COLUMNS, fmt) == want
 
+    def test_one_row_json_ensemble(self, tmp_path, block_rows):
+        table, _ = experiments.run_ensemble(experiments.EnsembleConfig(family="haar", count=1,
+                                                                       seed=4))
+        want = _reference_bytes(_reference_ensemble("haar", 1, 4, "A"),
+                                experiments.CSV_COLUMNS, "json")
+        assert _written(tmp_path, table, experiments.CSV_COLUMNS, "json") == want
+
     def test_large_haar_ensemble_spans_blocks(self, tmp_path):
         n = experiments.WRITE_BLOCK_ROWS + 3
         table, _ = experiments.run_ensemble(experiments.EnsembleConfig(family="haar", count=n,
@@ -432,11 +461,13 @@ class TestByteIdentity:
                                 experiments.SCAN_COLUMNS, fmt)
         assert _written(tmp_path, table, experiments.SCAN_COLUMNS, fmt) == want
 
-    def test_canonical_scan_with_infeasible_points(self, tmp_path, block_rows):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_canonical_scan_with_infeasible_points(self, tmp_path, block_rows, fmt):
         table = experiments.run_scan("canonical-b", 0.0, 1.2, 61, pivot="C")
+        assert np.isnan(table["p5"][~table["feasible"]]).all()
         want = _reference_bytes(_reference_scan("canonical-b", 0.0, 1.2, 61, "C"),
-                                experiments.SCAN_COLUMNS, "csv")
-        assert _written(tmp_path, table, experiments.SCAN_COLUMNS) == want
+                                experiments.SCAN_COLUMNS, fmt)
+        assert _written(tmp_path, table, experiments.SCAN_COLUMNS, fmt) == want
 
     def test_figure_2(self, tmp_path, block_rows):
         table, columns, _, _, _ = experiments.run_figure(2, seed=0, n=57)
