@@ -8,17 +8,19 @@ lacks is written empty in every row (the parameters of a Haar ensemble,
 say).  A scan table also carries a boolean `feasible` entry: a grid point
 with no state keeps only its index, family and note.  CSV and JSON come
 from one block formatter, `format_rows`, over one fixed schema so all
-outputs stay interchangeable for downstream plotting; CSV numbers are
-written with 17 significant digits and JSON floats as `json` writes them
-(both round-trip exact for doubles), and the tables are re-validated
-against the report invariants by array reductions.
+outputs stay interchangeable for downstream plotting.  A CSV block is one
+byte matrix whose floats carry the exact digits of '%.17g' (from Dekker's
+TwoProduct where 1e-4 <= |x| < 10); JSON blocks come from %-row templates
+with floats as `json` writes them (%r).  Both round-trip exact for doubles,
+and the tables are re-validated against the report invariants by array
+reductions.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,8 +55,9 @@ _METRIC_KEYS = ("c2_ab", "c2_ac", "c2_abc", "tau", "rhs_fei", "rhs_tight", "gap_
 _PARAM_KEYS = ("p1", "p2", "p3", "p4", "p5")
 # The cells an infeasible scan point keeps.
 _INFEASIBLE_KEEPS = ("index", "family", "note")
-# Rows formatted per string operation when writing a table.
-WRITE_BLOCK_ROWS = 4096
+# Rows per block when writing a table.  The CSV renderer's temporaries grow
+# with the block: 4096 rows raised the peak memory of small runs by 9 %.
+WRITE_BLOCK_ROWS = 1024
 # validate_rows: the CKW closure C2_X(YZ) = C2_XY + C2_XZ + tau a row may miss by.
 CLOSURE_TOL = 1e-9
 # validate_rows: roundoff slack on gap_tight <= gap_fei and on each C2 and tau in [0, 1].
@@ -167,6 +170,9 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
         raise ValueError(f"scan supports bell-product and canonical families, got {family!r}")
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    for name, bound in (("from", lo), ("to", hi)):
+        if not np.isfinite(bound):
+            raise ValueError(f"scan bound {name} = {float(bound)!r} is not finite")
     fixed = {**SWEEP_DEFAULTS, **(fixed or {})}
     n = int(steps)
     grid = np.linspace(float(lo), float(hi), n)
@@ -271,73 +277,209 @@ def _csv_field(text: str) -> str:
     return text
 
 
-# How each format writes a table: `quote` gives a string cell's text (an
-# empty cell is quote("")), `float` the %-field of a float (%r is what json
-# writes for a finite one; ints are %d), `key` the text before a cell; a row
-# is `open` + cells joined by `sep` + `close`, rows are joined by `between`,
-# and the table sits between `head(columns)` and `tail`.
-_FORMATS = {
-    "csv": SimpleNamespace(quote=_csv_field, float="%.17g", key=lambda c: "",
-                           head=lambda columns: ",".join(map(_csv_field, columns)) + "\n",
-                           open="", sep=",", close="\n", between="", tail=""),
-    "json": SimpleNamespace(quote=json.dumps, float="%r", key=lambda c: f"  {json.dumps(c)}: ",
-                            head=lambda columns: "[", open="\n {\n", sep=",\n", close="\n }",
-                            between=",", tail="\n]\n"),
-}
-
-
-def _cells(col, quote) -> np.ndarray:
-    """A column ready for %-formatting: numbers as they are, strings quoted."""
-    if col.dtype.kind in "iuf":
-        return col
+def _distinct(col):
+    """The distinct values of a string column as str, and each row's index into them."""
     values, inverse = np.unique(col, return_inverse=True)
-    return np.array([quote(str(v)) for v in values], dtype=object)[inverse.reshape(-1)]
+    return [str(v) for v in values], inverse.reshape(-1)
 
 
-def _row_template(table, columns, keep, spec) -> tuple[str, list[str]]:
-    """The %-format of one row writing the columns in `keep`, and those columns."""
-    fields, written = [], []
-    for c in columns:
-        if c in keep:
-            kind = table[c].dtype.kind
-            field = "%d" if kind in "iu" else spec.float if kind == "f" else "%s"
-            written.append(c)
-        else:
-            field = spec.quote("")
-        fields.append(spec.key(c) + field)
-    return spec.open + spec.sep.join(fields) + spec.close, written
+# CSV numbers.  A cell's text is 24 bytes (six uint32 words), NUL wherever it
+# holds no character.  A float x with |x| in [1e-4, 10) or x = +-0 prints in
+# fixed notation from its decade X and the 17-digit integer
+# N = round-half-even(|x| 10^(16-X)).  N is exact: 10^(16-X) is an exact
+# double, Dekker's TwoProduct gives |x| 10^(16-X) = p + e exactly, and
+# p >= 1e16 > 2^53 is an even integer, so N = p + rint(e).  Other floats
+# (NaN, inf, subnormals, |x| >= 10, 0 < |x| < 1e-4) go through '%.17g' %.
+# The decade thresholds are the smallest doubles >= 1e-4, ..., 1, 10: each
+# of these literals rounds up.
+_DECADES = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
 
 
-def format_rows(table, columns, fmt):
-    """The text of a table in `fmt` ("csv" or "json"): its header line or "[",
-    blocks of at most WRITE_BLOCK_ROWS rows (one row template per block), and
-    its closing text."""
-    spec = _FORMATS[fmt]
+@functools.cache
+def _number_tables():
+    """Read-only tables of the CSV number renderer, built on first use.
+
+    tail[g] is the four digit bytes of g < 10^4 read as one uint32, with
+    its trailing zeros made NUL, and lead[g] with its leading zeros made
+    NUL; entry g + 10^4 of each keeps all four, for a group with a nonzero
+    group after it (before it).  head[code, sign, more, d] is a float's
+    first eight bytes: its sign, "0." and the zeros after the point, its
+    first digit d, and the point after d when X = 0 and more digits follow.
+    Then come the scale 10^(16-X) of each code and its Veltkamp halves.
+    """
+    four = np.array([b"%04d" % g for g in range(10_000)]).view(np.uint8).reshape(-1, 4)
+    zeros = four == ord("0")
+    tail, lead = four.copy(), four.copy()
+    tail[np.logical_and.accumulate(zeros[:, ::-1], axis=1)[:, ::-1]] = 0
+    lead[np.logical_and.accumulate(zeros, axis=1)] = 0
+    head = np.zeros((6, 2, 2, 10, 8), dtype=np.uint8)
+    head[:, 1, ..., 0] = ord("-")
+    head[..., 6] = np.arange(ord("0"), ord("9") + 1)
+    head[[0, 5], :, 1, :, 7] = ord(".")
+    for code in range(1, 5):  # X = code - 5 < 0: "0." then -X-1 zeros before d
+        head[code, ..., 1:7 - code] = ord("0")
+        head[code, ..., 2] = ord(".")
+    scale = np.array([1e16, 1e20, 1e19, 1e18, 1e17, 1e16])
+    high = scale * _SPLIT - (scale * _SPLIT - scale)
+    tables = [np.concatenate([tail, four]).view(np.uint32).reshape(-1),
+              np.concatenate([lead, four]).view(np.uint32).reshape(-1),
+              head.view(np.uint64).reshape(-1), scale, high, scale - high]
+    for array in tables:
+        array.setflags(write=False)
+    return tables
+
+
+def _groups(r):
+    """The four-digit groups of 0 <= r < 10^16, most significant first."""
+    hi, lo = (h.astype(np.int32) for h in np.divmod(r, 10**8))
+    return (*np.divmod(hi, 10**4), *np.divmod(lo, 10**4))
+
+
+def _float_text(x):
+    """'%.17g' % v for every v in the float64 array x, as (x.size, 24) NUL-padded bytes."""
+    x = x.reshape(-1)
+    a = np.abs(x)
+    slow = ~(((a >= _DECADES[0]) & (a < _DECADES[-1])) | (a == 0))  # NaN too
+    if slow.all():
+        return _percent_text(x)
+    a[slow] = 0.0  # keeps the arithmetic finite; these slots are overwritten
+    code = np.zeros(x.shape, dtype=np.intp)  # X + 5 on [1e-4, 10); 0 for zeros and slow slots
+    for threshold in _DECADES[:-1]:
+        code += a >= threshold
+    tail, _, head, scale, high, low = _number_tables()
+    p = a * scale[code]
+    big = a * _SPLIT
+    ah = big - (big - a)
+    al = a - ah
+    e = ((ah * high[code] - p) + ah * low[code] + al * high[code]) + al * low[code]
+    first, rest = np.divmod(p.astype(np.int64) + np.rint(e).astype(np.int64), 10**16)
+    words = np.empty((x.size, 6), dtype=np.uint32)
+    more = np.zeros(x.size, dtype=bool)  # a nonzero digit follows
+    for j, g in zip((5, 4, 3, 2), reversed(_groups(rest))):
+        words[:, j] = tail[g + 10_000 * more]
+        more |= g != 0
+    words.view(np.uint64)[:, 0] = head[((code * 2 + np.signbit(x)) * 2 + more) * 10 + first]
+    text = words.view(np.uint8).reshape(x.size, 24)
+    if slow.any():
+        text[slow] = _percent_text(x[slow])
+    return text
+
+
+def _percent_text(x):
+    """'%.17g' % v for every v in x; '%-24.17g' pads it to the slot with spaces, made NULs."""
+    text = np.frombuffer(("%-24.17g" * x.size % tuple(x.tolist())).encode(), dtype=np.uint8)
+    return (text * (text != ord(" "))).reshape(x.size, 24)
+
+
+def _int_text(v):
+    """'%d' % k for every k in the int64 array v, as (v.size, 24) NUL-padded bytes."""
+    lead = _number_tables()[1]
+    v = v.reshape(-1)
+    top, rest = np.divmod(np.abs(v), 10**16)
+    words = np.zeros((v.size, 6), dtype=np.uint32)
+    words[:, 1] = lead[top]
+    before = top != 0  # a nonzero digit precedes
+    for j, g in zip((2, 3, 4, 5), _groups(rest)):
+        words[:, j] = lead[g + 10_000 * before]
+        before |= g != 0
+    text = words.view(np.uint8).reshape(v.size, 24)
+    text[:, 0] = np.where(v < 0, ord("-"), 0)
+    text[~before, 23] = ord("0")
+    return text
+
+
+def _csv_blocks(table, columns):
+    """CSV text: the header line, then one str per block of rows.
+
+    A block is one uint8 matrix, a fixed-width slot per cell followed by
+    its separator, turned into text by deleting the NULs.  An infeasible
+    row's cells outside _INFEASIBLE_KEEPS are zeroed in the matrix.
+    """
     n, feasible = _length(table), _feasible(table)
-    present = [c for c in columns if c in table]
-    layouts = {True: _row_template(table, columns, present, spec),
-               False: _row_template(table, columns,
-                                    [c for c in present if c in _INFEASIBLE_KEEPS], spec)}
-    cells = {c: _cells(np.asarray(table[c]), spec.quote) for c in present}
+    kinds = {c: table[c].dtype.kind for c in columns if c in table}
+    numbers = [([c for c in kinds if kinds[c] == k], dtype, render)
+               for k, dtype, render in (("f", np.float64, _float_text), ("i", np.int64, _int_text))]
+    strings = {}
+    for c in [c for c in kinds if kinds[c] not in "fi"]:
+        values, inverse = _distinct(table[c])
+        quoted = np.array([_csv_field(v).encode() for v in values], dtype=bytes)
+        strings[c] = (quoted.view(np.uint8).reshape(len(values), quoted.itemsize), inverse)
+    widths = np.array([strings[c][0].shape[1] if c in strings else 24 if c in kinds else 0
+                       for c in columns], dtype=np.intp)
+    ends = np.cumsum(widths + 1) - 1  # each cell's separator
+    template = np.zeros(max(len(columns), 1) + widths.sum(), dtype=np.uint8)
+    template[ends] = ord(",")
+    template[-1] = ord("\n")
+    slots = {c: slice(e - w, e) for c, e, w in zip(columns, ends, widths)}
+    keep = np.full(template.size, 255, dtype=np.uint8)  # the bytes an infeasible row keeps
+    for c in set(columns) - set(_INFEASIBLE_KEEPS):
+        keep[slots[c]] = 0
+    yield ",".join(map(_csv_field, columns)) + "\n"
+    for a in range(0, n, WRITE_BLOCK_ROWS):
+        b = min(a + WRITE_BLOCK_ROWS, n)
+        block = np.empty((b - a, template.size), dtype=np.uint8)
+        block[:] = template
+        for names, dtype, render in numbers:
+            if names:
+                cells = np.stack([table[c][a:b] for c in names]).astype(dtype, copy=False)
+                text = render(cells).reshape(len(names), b - a, 24)
+                for j, c in enumerate(names):
+                    block[:, slots[c]] = text[j]
+        for c, (quoted, inverse) in strings.items():
+            block[:, slots[c]] = quoted[inverse[a:b]]
+        void = ~feasible[a:b]
+        if void.any():
+            block[void] &= keep
+        yield block.tobytes().translate(None, b"\0").decode()
+
+
+def _json_blocks(table, columns):
+    """JSON text: "[", blocks of rows from one %-template per block, then "]".
+
+    Floats are %r, which is what json writes for a finite float; strings
+    are quoted by json.dumps once per distinct value; an infeasible row
+    writes "" outside _INFEASIBLE_KEEPS.
+    """
+    n, feasible = _length(table), _feasible(table)
+    cells = {c: np.asarray(table[c]) for c in columns if c in table}
+    for c, col in cells.items():
+        if col.dtype.kind not in "iuf":
+            values, inverse = _distinct(col)
+            cells[c] = np.array([json.dumps(v) for v in values], dtype=object)[inverse]
     changes = (np.flatnonzero(feasible[1:] != feasible[:-1]) + 1).tolist()
     starts = sorted(set(range(0, n, WRITE_BLOCK_ROWS)).union(changes))
-    yield spec.head(columns)
+    yield "["
     for a, b in zip(starts, starts[1:] + [n]):
-        template, written = layouts[bool(feasible[a])]
+        written = [c for c in cells if feasible[a] or c in _INFEASIBLE_KEEPS]
+        fields = ['""' if c not in written else "%d" if cells[c].dtype.kind in "iu"
+                  else "%r" if cells[c].dtype.kind == "f" else "%s" for c in columns]
+        template = "\n {\n" + ",\n".join(f"  {json.dumps(c)}: {f}"
+                                         for c, f in zip(columns, fields)) + "\n }"
         block = np.empty((b - a, len(written)), dtype=object)
         for j, c in enumerate(written):
             block[:, j] = cells[c][a:b]
-        text = spec.between.join([template] * (b - a)) % tuple(block.reshape(-1).tolist())
-        yield spec.between + text if a else text
-    yield spec.tail
+        text = ",".join([template] * (b - a)) % tuple(block.reshape(-1).tolist())
+        yield "," + text if a else text
+    yield "\n]\n"
+
+
+def format_rows(table, columns, fmt):
+    """The text of a table in `fmt` ("csv" or "json"), as str blocks of at
+    most WRITE_BLOCK_ROWS rows between the header line (or "[") and the
+    closing text.  An unknown `fmt` raises ValueError at the call."""
+    if fmt == "csv":
+        return _csv_blocks(table, columns)
+    if fmt == "json":
+        return _json_blocks(table, columns)
+    raise ValueError(f"format must be csv or json, got {fmt!r}")
 
 
 def write_rows(path, table, columns, fmt="csv"):
     """Write the blocks of format_rows to a file; the whole text never exists at once."""
-    if fmt not in _FORMATS:
-        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    blocks = format_rows(table, columns, fmt)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(format_rows(table, columns, fmt))
+        fh.writelines(blocks)
 
 
 def run_discrepancy(family, n=200, seed=0):

@@ -205,6 +205,14 @@ class TestScan:
         assert rows[-1]["note"].startswith("infeasible")
         assert rows[-1]["gap_tight"] == ""
 
+    @pytest.mark.parametrize("lo,hi", [("nan", "1"), ("0", "inf")])
+    def test_non_finite_bound_exits_2(self, tmp_path, capsys, lo, hi):
+        out = tmp_path / "scan.csv"
+        assert run_cli(["scan", "--family", "bell-product", "--from", lo, "--to", hi,
+                        "--steps", "3", "--out", str(out)]) == 2
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_unsupported_parameter(self, capsys):
         assert run_cli(["scan", "--family", "bell-product", "--param", "p3",
                         "--from", "0", "--to", "1", "--steps", "3",

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +217,14 @@ class TestRunScan:
         with pytest.raises(ValueError):
             experiments.run_scan("bell-product", 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("lo,hi,name", [
+        (float("nan"), 1.0, "from"), (0.0, float("nan"), "to"),
+        (float("-inf"), 1.0, "from"), (0.0, float("inf"), "to"),
+    ])
+    def test_rejects_non_finite_bounds(self, lo, hi, name):
+        with pytest.raises(ValueError, match=f"^scan bound {name} = .* is not finite$"):
+            experiments.run_scan("bell-product", lo, hi, 3)
+
 
 class TestRunFigure:
     def test_ensemble_figure_has_three_series(self):
@@ -277,6 +286,10 @@ class TestWriteRows:
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             experiments.write_rows(tmp_path / "x", {}, experiments.CSV_COLUMNS, fmt="xml")
+
+    def test_format_rows_rejects_unknown_format_at_the_call(self):
+        with pytest.raises(ValueError, match="format must be csv or json, got 'xml'"):
+            experiments.format_rows({}, [], "xml")
 
     def test_unknown_format_leaves_existing_file(self, tmp_path):
         table, _ = experiments.run_ensemble(small_config(count=3))
@@ -481,3 +494,113 @@ class TestByteIdentity:
         want = _reference_bytes(rows, columns, "csv")
         assert b'"tau (outer square removed, theta=0 slice)"' in want
         assert _written(tmp_path, table, columns) == want
+
+
+def _percent_g_lines(values):
+    """The CSV lines of a one-column float table, and '%.17g' % v of its values."""
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    text = "".join(experiments.format_rows({"x": values}, ["x"], "csv"))
+    return text.splitlines()[1:], ["%.17g" % v for v in values.tolist()]
+
+
+def _csv_reference(table, columns):
+    """csv.writer over format_number cells; an infeasible row keeps index, family and note."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    feasible = table.get("feasible", np.ones(len(table["index"]), dtype=bool))
+    for i, live in enumerate(feasible):
+        writer.writerow([experiments.format_number(table[c][i])
+                         if c in table and (live or c in ("index", "family", "note")) else ""
+                         for c in columns])
+    return buf.getvalue()
+
+
+def _ties(rng, per_decade):
+    """Doubles whose 17-digit rounding is an exact tie, in every decade of [1e-4, 10).
+
+    x = j / 2^(17-X) with odd j makes x 10^(16-X) = j 5^(16-X) / 2 an odd half.
+    """
+    out = []
+    for X in range(-4, 1):
+        lo, hi = int(np.ceil(10.0**X * 2 ** (17 - X))), int(10.0 ** (X + 1) * 2 ** (17 - X))
+        j = 2 * rng.integers(lo // 2, hi // 2, per_decade) + 1
+        x = j / 2.0 ** (17 - X)
+        out.append(x[(x >= 10.0**X) & (x < 10.0 ** (X + 1))])
+    return np.concatenate(out)
+
+
+class TestCsvNumbers:
+    """CSV floats must equal '%.17g' % x byte for byte, on the digit kernel's
+    range [1e-4, 10) and +-0 and on the '%' route for everything else."""
+
+    def test_decade_thresholds_are_the_rounded_up_powers(self):
+        for k, t in zip(range(-4, 2), experiments._DECADES):
+            assert Fraction(t) >= Fraction(10) ** k > Fraction(np.nextafter(t, 0.0))
+
+    def test_log_uniform_values(self):
+        rng = np.random.default_rng(17)
+        x = 10.0 ** rng.uniform(-7.0, np.log10(20.0), 200_000)
+        x[::3] *= -1.0
+        got, want = _percent_g_lines(x)
+        assert got == want
+
+    def test_exact_ties_at_the_seventeenth_digit(self):
+        ties = _ties(np.random.default_rng(18), 10_000)
+        assert len(ties) > 45_000
+        got, want = _percent_g_lines(np.concatenate([ties, -ties]))
+        assert got == want
+
+    def test_powers_and_their_neighbours(self):
+        powers = [10.0 ** k for k in range(-8, 3)] + [2.0 ** k for k in range(-20, 5)]
+        edges = [x for p in (1e-4, 1.0, 10.0) for x in (np.nextafter(np.nextafter(p, 0), 0),
+                                                          np.nextafter(p, 0), p,
+                                                          np.nextafter(p, np.inf))]
+        x = np.array(powers + edges + [np.nextafter(p, d) for p in powers for d in (0, np.inf)])
+        got, want = _percent_g_lines(np.concatenate([x, -x]))
+        assert got == want
+
+    def test_trailing_zero_digits(self):
+        x = np.random.default_rng(19).uniform(1e-4, 10.0, 3_000)
+        x = np.concatenate([np.round(x, d) for d in range(1, 17)] + [np.arange(1.0, 10.0)])
+        got, want = _percent_g_lines(np.concatenate([x, -x]))
+        assert got == want
+
+    def test_zeros_and_the_percent_route(self):
+        x = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072009e-308,
+             2.2250738585072014e-308, 1e300, -1e300, 9.99e-5, 12.5, 1e17, 123456789.125]
+        got, want = _percent_g_lines(x)
+        assert got == want
+        assert got[:2] == ["0", "-0"]
+
+    def test_int_cells(self):
+        k = np.array([0, 7, 10, 9999, 10**4, 10**8 + 1, 10**16, 2**63 - 1, -1, -10**18])
+        text = "".join(experiments.format_rows({"k": k}, ["k"], "csv"))
+        assert text.splitlines()[1:] == ["%d" % v for v in k.tolist()]
+
+    def test_one_row_table(self):
+        table, _ = experiments.run_ensemble(small_config(family="canonical-b", count=1))
+        text = "".join(experiments.format_rows(table, experiments.CSV_COLUMNS, "csv"))
+        assert text == _csv_reference(table, experiments.CSV_COLUMNS)
+
+    def test_table_wholly_outside_the_fast_range(self):
+        table, _ = experiments.run_ensemble(small_config(family="canonical-a", count=50))
+        for key in list(experiments._PARAM_KEYS) + ["theta"]:
+            table[key] = table[key] * 1e3 + 10.0
+        for key in experiments._METRIC_KEYS:
+            table[key] = table[key] * 1e-9 - 1e-300
+        text = "".join(experiments.format_rows(table, experiments.CSV_COLUMNS, "csv"))
+        assert text == _csv_reference(table, experiments.CSV_COLUMNS)
+
+    def test_feasible_row_holding_negative_zero(self):
+        table = {"index": np.arange(3), "family": np.full(3, "bell-product"),
+                 "p1": np.array([-0.0, np.nan, 0.5]), "gap_tight": np.array([0.0, np.nan, -0.0]),
+                 "class": np.array(["saturated", "", "saturated"], dtype=object),
+                 "note": np.array(["", "infeasible: p1 outside [0, 1]", ""]),
+                 "feasible": np.array([True, False, True])}
+        columns = ["index", "family", "p1", "gap_tight", "class", "note"]
+        text = "".join(experiments.format_rows(table, columns, "csv"))
+        assert text.splitlines()[1:] == ["0,bell-product,-0,0,saturated,",
+                                         '1,bell-product,,,,"infeasible: p1 outside [0, 1]"',
+                                         "2,bell-product,0.5,-0,saturated,"]
+        assert text == _csv_reference(table, columns)
