@@ -10,11 +10,8 @@ from .inequalities import (
     SATURATION_TOL,
     MonogamyReport,
     build_report,
-    ckw_holds,
     classify,
-    fei_rhs,
     monogamy_table,
-    tight_rhs,
 )
 from .measures import (
     concurrence_bipartition,
@@ -49,11 +46,8 @@ __all__ = [
     "SATURATION_TOL",
     "MonogamyReport",
     "build_report",
-    "ckw_holds",
     "classify",
-    "fei_rhs",
     "monogamy_table",
-    "tight_rhs",
     "concurrence_bipartition",
     "concurrence_mixed",
     "concurrence_pure_2q",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_forms, states, svgplot
-from .inequalities import SATURATION_TOL, classify_gaps, monogamy_table
+from .inequalities import SATURATION_TOL, _check_tol, classify_gaps, monogamy_table
 from .states import _first_failure
 
 __all__ = [
@@ -86,8 +86,7 @@ class EnsembleConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        _check_tol(self.tolerance, "tolerance")
 
 
 def format_number(value) -> str:
@@ -173,6 +172,7 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
     for name, bound in (("from", lo), ("to", hi)):
         if not np.isfinite(bound):
             raise ValueError(f"scan bound {name} = {float(bound)!r} is not finite")
+    _check_tol(tolerance)
     fixed = {**SWEEP_DEFAULTS, **(fixed or {})}
     n = int(steps)
     grid = np.linspace(float(lo), float(hi), n)
@@ -482,6 +482,28 @@ def write_rows(path, table, columns, fmt="csv"):
         fh.writelines(blocks)
 
 
+# The rows of the closed-form audit: (formula, candidate key, truth key,
+# theta forced to 0, note).  _AUDIT_VARIANT holds each family's row 5.
+_AUDIT_ROWS = (
+    ("c2_ab", "c2_ab", "c2_ab", False, "candidate vs numerics, sampled theta"),
+    ("c2_ab (theta=0 slice)", "c2_ab", "c2_ab", True, "same candidate, theta forced to 0"),
+    ("c2_ac", "c2_ac", "c2_ac", False, "candidate vs numerics, sampled theta"),
+    ("c2_ac (theta=0 slice)", "c2_ac", "c2_ac", True, "same candidate, theta forced to 0"),
+    ("c2_abc", "c2_abc", "c2_abc", False, "candidate vs numerics"),
+    ("tau", "tau", "tau", False, "candidate vs numerics, sampled theta"),
+    ("tau (outer square removed)", "tau_unsquared", "tau", False,
+     "variant: candidate without its outer square"),
+    ("tau (outer square removed, theta=0 slice)", "tau_unsquared", "tau", True,
+     "the same variant on the theta=0 slice"),
+)
+_AUDIT_VARIANT = {
+    "canonical-a": ("c2_abc (sign-adjusted variant)", "c2_abc_sign_adjusted", "c2_abc", False,
+                    "variant: p1^4, p2^2, p2^4 signs flipped"),
+    "canonical-b": ("c2_abc (exponent-adjusted variant)", "c2_abc_exponent_adjusted", "c2_abc",
+                    False, "variant: leading p4^2 raised to p4^4"),
+}
+
+
 def run_discrepancy(family, n=200, seed=0):
     """Audit the candidate closed forms against numerical ground truth.
 
@@ -490,7 +512,7 @@ def run_discrepancy(family, n=200, seed=0):
     the pattern of any disagreement (wrong power, wrong sign, missing
     theta dependence) is visible from the numbers themselves.
     """
-    if family not in ("canonical-a", "canonical-b"):
+    if family not in _AUDIT_VARIANT:
         raise ValueError(f"discrepancy supports the canonical families, got {family!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -498,39 +520,13 @@ def run_discrepancy(family, n=200, seed=0):
     cand = (closed_forms.canonical_a_candidates if family == "canonical-a"
             else closed_forms.canonical_b_candidates)
     p, theta = states.sample_canonical_batch(seed, n, family)
-    truth = monogamy_table(make(p, theta), "A")
-    truth0 = monogamy_table(make(p, 0.0), "A")
-    got = cand(p, theta)
-    got0 = cand(p, 0.0)
-
-    def dev(cand_vals, truth_vals):
-        return float(np.max(np.abs(np.asarray(cand_vals) - truth_vals)))
-
-    rows = [
-        {"formula": "c2_ab", "max_abs_dev": dev(got["c2_ab"], truth["c2_ab"]),
-         "note": "candidate vs numerics, sampled theta"},
-        {"formula": "c2_ab (theta=0 slice)", "max_abs_dev": dev(got0["c2_ab"], truth0["c2_ab"]),
-         "note": "same candidate, theta forced to 0"},
-        {"formula": "c2_ac", "max_abs_dev": dev(got["c2_ac"], truth["c2_ac"]),
-         "note": "candidate vs numerics, sampled theta"},
-        {"formula": "c2_ac (theta=0 slice)", "max_abs_dev": dev(got0["c2_ac"], truth0["c2_ac"]),
-         "note": "same candidate, theta forced to 0"},
-        {"formula": "c2_abc", "max_abs_dev": dev(got["c2_abc"], truth["c2_abc"]),
-         "note": "candidate vs numerics"},
-        {"formula": "tau", "max_abs_dev": dev(got["tau"], truth["tau"]),
-         "note": "candidate vs numerics, sampled theta"},
-        {"formula": "tau (outer square removed)", "max_abs_dev": dev(got["tau_unsquared"], truth["tau"]),
-         "note": "variant: candidate without its outer square"},
-        {"formula": "tau (outer square removed, theta=0 slice)",
-         "max_abs_dev": dev(got0["tau_unsquared"], truth0["tau"]),
-         "note": "the same variant on the theta=0 slice"},
-    ]
-    if family == "canonical-a":
-        rows.insert(5, {"formula": "c2_abc (sign-adjusted variant)",
-                        "max_abs_dev": dev(got["c2_abc_sign_adjusted"], truth["c2_abc"]),
-                        "note": "variant: p1^4, p2^2, p2^4 signs flipped"})
-    else:
-        rows.insert(5, {"formula": "c2_abc (exponent-adjusted variant)",
-                        "max_abs_dev": dev(got["c2_abc_exponent_adjusted"], truth["c2_abc"]),
-                        "note": "variant: leading p4^2 raised to p4^4"})
+    # (candidates, numerical truth) at the sampled theta and at theta = 0
+    runs = {zero: (cand(p, th), monogamy_table(make(p, th), "A"))
+            for zero, th in ((False, theta), (True, 0.0))}
+    specs = [*_AUDIT_ROWS[:5], _AUDIT_VARIANT[family], *_AUDIT_ROWS[5:]]
+    rows = []
+    for formula, got, truth, zero, note in specs:
+        candidates, table = runs[zero]
+        dev = float(np.max(np.abs(np.asarray(candidates[got]) - table[truth])))
+        rows.append({"formula": formula, "max_abs_dev": dev, "note": note})
     return rows

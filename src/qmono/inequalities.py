@@ -17,7 +17,9 @@ T_XY + T_XZ the bounds and their gaps are, exactly,
     gap_tight = (sqrt T_XY - sqrt T_XZ)^2
     gap_fei   = [(T_XY - T_XZ)^2 + 2 tau (C^2_XY + C^2_XZ)] / (C^2_X(YZ) + rhs_fei)
 
-so these identities hold by construction, not within a tolerance: tau is
+The sum form has no column of its own: by the closure, its gap
+C^2_X(YZ) - (C^2_XY + C^2_XZ) is tau, so the tau column is that gap.
+These identities hold by construction, not within a tolerance: tau is
 identical at every pivot, neither gap is ever negative, and the tight gap
 is exactly 0 when T_XY == T_XZ, i.e. when C_XY = C_XZ.  The tight form
 dominates the product form (gap_tight <= gap_fei), and its gap obeys
@@ -36,11 +38,7 @@ from .measures import pure_state_invariants
 __all__ = [
     "SATURATION_TOL",
     "MonogamyReport",
-    "fei_rhs",
-    "tight_rhs",
     "fei_rhs_values",
-    "tight_rhs_values",
-    "ckw_holds",
     "classify",
     "classify_gaps",
     "build_report",
@@ -82,39 +80,17 @@ def fei_rhs_values(c2_ab, c2_ac, tau):
     return 2.0 * np.sqrt(np.asarray(c2_ab) * np.asarray(c2_ac) + np.asarray(tau) ** 2 / 4.0)
 
 
-def tight_rhs_values(c2_ab, c2_ac, tau):
-    """2 sqrt((C^2_XY + tau/2)(C^2_XZ + tau/2)) from plain values (stacked ok)."""
-    tau = np.asarray(tau)
-    x = np.maximum(np.asarray(c2_ab) + tau / 2.0, 0.0)
-    y = np.maximum(np.asarray(c2_ac) + tau / 2.0, 0.0)
-    return 2.0 * np.sqrt(x * y)
-
-
-def fei_rhs(report: MonogamyReport) -> float:
-    """Right-hand side of the product bound for an existing report."""
-    return float(fei_rhs_values(report.c2_ab, report.c2_ac, report.tau))
-
-
-def tight_rhs(report: MonogamyReport) -> float:
-    """Right-hand side of the tight product bound from a report's clamped values.
-
-    report.rhs_tight itself is 2 sqrt(T_XY T_XZ) from the pre-clamp pair
-    traces, so the two differ only by roundoff, where a clamp moved C^2 or
-    tau.
-    """
-    return float(tight_rhs_values(report.c2_ab, report.c2_ac, report.tau))
-
-
-def ckw_holds(report: MonogamyReport, tol: float = SATURATION_TOL):
-    """Sum-form check; returns (holds, margin) with margin = tau by construction."""
-    margin = report.c2_abc - report.c2_ab - report.c2_ac
-    return bool(margin >= -tol), float(margin)
+def _check_tol(tol, name="tol"):
+    """Reject a gap tolerance that is not a finite positive number."""
+    if not math.isfinite(tol):
+        raise ValueError(f"{name} must be finite, got {float(tol)!r}")
+    if tol <= 0:
+        raise ValueError(f"{name} must be positive")
 
 
 def classify_gaps(gap_tight, tol: float = SATURATION_TOL):
     """Vectorized {saturated, strict, violated} labels for tight gaps."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     gap_tight = np.asarray(gap_tight, dtype=np.float64)
     return np.select(
         [np.abs(gap_tight) <= tol, gap_tight < -tol],
@@ -177,6 +153,7 @@ def _signed_root(c2: float) -> float:
 
 def build_report(psi, pivot: str = "A", tol: float = SATURATION_TOL) -> MonogamyReport:
     """Compose the measures into a single-state MonogamyReport."""
+    _check_tol(tol)
     table = monogamy_table(np.asarray(psi, dtype=np.complex128)[None, :], pivot)
     vals = {k: float(v[0]) for k, v in table.items()}
     return MonogamyReport(

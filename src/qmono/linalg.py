@@ -18,11 +18,9 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "SPIN_FLIP_2",
     "SPIN_FLIP_4",
     "state_tensor",
     "partial_trace",
-    "partial_trace_single",
     "hermitian_eigensystem",
 ]
 
@@ -33,7 +31,6 @@ QUBIT_POSITION = {"A": 0, "B": 1, "C": 2}
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-SPIN_FLIP_2 = SIGMA_Y
 SPIN_FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
 
 # Hermiticity acceptance threshold (max entrywise |m - m^dag|).
@@ -78,33 +75,22 @@ def _resolve(labels):
 
 
 def partial_trace(psi, keep=("A", "B")):
-    """Reduced 4x4 density matrix of the kept qubit pair of a pure state.
+    """Reduced density matrix of the kept qubits of a pure state (stacked ok).
 
-    The first kept label is the more significant bit of the pair basis.
-    The result is divided by <psi|psi> so its trace is exactly 1 for any
-    accepted input.
+    `keep` names one qubit, as "A" or ("A",), for a 2x2 matrix, or two
+    distinct qubits, as ("A", "B"), for a 4x4 matrix whose first label is
+    the more significant bit of the pair basis.  The result is divided by
+    <psi|psi> so its trace is exactly 1 for any accepted input.
     """
-    keep = tuple(keep)
-    if len(keep) != 2 or keep[0] == keep[1]:
-        raise ValueError(f"keep must name two distinct qubits, got {keep!r}")
+    pos = _resolve(tuple(keep))
+    if len(pos) not in (1, 2) or len(set(pos)) != len(pos):
+        raise ValueError(f"keep must name one or two distinct qubits, got {keep!r}")
     t, norm2 = state_tensor(psi)
-    pos = _resolve(keep)
-    drop = next(i for i in range(3) if i not in pos)
     nb = t.ndim - 3
-    order = tuple(range(nb)) + tuple(nb + i for i in (*pos, drop))
-    m = np.transpose(t, order).reshape(t.shape[:-3] + (4, 2))
-    rho = np.einsum("...ik,...jk->...ij", m, np.conj(m))
-    return rho / norm2[..., None, None]
-
-
-def partial_trace_single(psi, keep="A"):
-    """Reduced 2x2 density matrix of one kept qubit of a pure state."""
-    t, norm2 = state_tensor(psi)
-    (pos,) = _resolve((keep,))
-    rest = [i for i in range(3) if i != pos]
-    nb = t.ndim - 3
-    order = tuple(range(nb)) + (nb + pos, nb + rest[0], nb + rest[1])
-    m = np.transpose(t, order).reshape(t.shape[:-3] + (2, 4))
+    rest = tuple(i for i in range(3) if i not in pos)
+    order = tuple(range(nb)) + tuple(nb + i for i in pos + rest)
+    d = 2 ** len(pos)
+    m = np.transpose(t, order).reshape(t.shape[:-3] + (d, 8 // d))
     rho = np.einsum("...ik,...jk->...ij", m, np.conj(m))
     return rho / norm2[..., None, None]
 

@@ -55,7 +55,6 @@ from .linalg import (
     SIGMA_Y,
     hermitian_eigensystem,
     partial_trace,
-    partial_trace_single,
     state_tensor,
 )
 
@@ -163,7 +162,7 @@ def concurrence_bipartition(psi, pivot="A"):
 
 def bipartition_c2_raw(psi, pivot="A"):
     """2 (1 - Tr rho_X^2) without clamping, for diagnostics."""
-    rho = partial_trace_single(psi, pivot)
+    rho = partial_trace(psi, (pivot,))  # (pivot,): "AB" is a bad pivot, not a pair
     purity = np.real(np.einsum("...ij,...ji->...", rho, rho))
     return 2.0 * (1.0 - purity)
 

@@ -416,10 +416,10 @@ def read_state_file(path) -> np.ndarray:
     for k, entry in enumerate(data):
         if not isinstance(entry, list) or len(entry) != 2:
             raise ValueError(f"entry {k} must be a [re, im] pair")
-        re, im = entry
-        if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+        # JSON true and false load as bool, a subclass of int: not numbers here
+        if any(type(v) not in (int, float) for v in entry):
             raise ValueError(f"entry {k} must hold two numbers")
-        amps.append(complex(re, im))
+        amps.append(complex(*entry))
     return validate(np.array(amps, dtype=np.complex128))
 
 

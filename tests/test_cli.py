@@ -85,6 +85,22 @@ class TestAnalyze:
         assert run_cli(["analyze", "--state", str(bad)]) == 2
         capsys.readouterr()
 
+    def test_boolean_amplitudes_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps([[True, False]] + [[0, 0]] * 7))
+        assert run_cli(["analyze", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: entry 0 must hold two numbers\n"
+
+    @pytest.mark.parametrize("tol", ["--tol=nan", "--tol=inf", "--tol=-inf"])
+    def test_non_finite_tol_exits_2(self, capsys, tol):
+        # NaN used to label GHZ strict, and inf every state saturated
+        assert run_cli(["analyze", "--family", "ghz", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tol must be finite")
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -147,6 +163,13 @@ class TestEnsemble:
         run_cli(["ensemble", "--family", "ghz", "--n", "2", "--out", str(out),
                  "--format", "json"])
         assert len(json.loads(out.read_text())) == 2
+
+    @pytest.mark.parametrize("tol", ["--tol=nan", "--tol=inf", "--tol=-inf"])
+    def test_non_finite_tol_exits_2(self, tmp_path, capsys, tol):
+        out = tmp_path / "runs.csv"
+        assert run_cli(["ensemble", "--family", "haar", "--n", "5", tol, "--out", str(out)]) == 2
+        assert "tolerance must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("family", ["haar", "canonical-a"])
     def test_out_of_range_seed_exits_2(self, tmp_path, capsys, family):
@@ -211,6 +234,15 @@ class TestScan:
         assert run_cli(["scan", "--family", "bell-product", "--from", lo, "--to", hi,
                         "--steps", "3", "--out", str(out)]) == 2
         assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lo,hi", [("0", "1"), ("2", "3")], ids=["feasible", "infeasible"])
+    @pytest.mark.parametrize("tol", ["--tol=nan", "--tol=inf"])
+    def test_non_finite_tol_exits_2(self, tmp_path, capsys, lo, hi, tol):
+        out = tmp_path / "scan.csv"
+        assert run_cli(["scan", "--family", "bell-product", "--from", lo, "--to", hi,
+                        "--steps", "3", tol, "--out", str(out)]) == 2
+        assert "tol must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rejects_unsupported_parameter(self, capsys):

@@ -56,6 +56,11 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError):
             experiments.EnsembleConfig(family="haar", count=5, seed=0, tolerance=-1.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError, match="^tolerance must be finite"):
+            experiments.EnsembleConfig(family="haar", count=5, seed=0, tolerance=tol)
+
 
 class TestRunEnsemble:
     def test_row_shape_and_indices(self):
@@ -224,6 +229,13 @@ class TestRunScan:
     def test_rejects_non_finite_bounds(self, lo, hi, name):
         with pytest.raises(ValueError, match=f"^scan bound {name} = .* is not finite$"):
             experiments.run_scan("bell-product", lo, hi, 3)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (2.0, 3.0)], ids=["feasible", "infeasible"])
+    def test_rejects_non_finite_tolerance(self, lo, hi, tol):
+        # checked up front, so a grid with no state rejects it too
+        with pytest.raises(ValueError, match="^tol must be finite"):
+            experiments.run_scan("bell-product", lo, hi, 3, tolerance=tol)
 
 
 class TestRunFigure:

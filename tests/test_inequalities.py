@@ -56,24 +56,12 @@ class TestRhs:
     def test_fei_formula(self):
         r = inequalities.build_report(states.make_bell_product(0.4), "A")
         want = 2.0 * math.sqrt(r.c2_ab * r.c2_ac + r.tau**2 / 4.0)
-        assert inequalities.fei_rhs(r) == pytest.approx(want, abs=1e-15)
         assert r.rhs_fei == pytest.approx(want, abs=1e-12)
 
     def test_tight_formula(self):
         r = inequalities.build_report(states.make_bell_product(0.4), "A")
         want = 2.0 * math.sqrt((r.c2_ab + r.tau / 2.0) * (r.c2_ac + r.tau / 2.0))
-        assert inequalities.tight_rhs(r) == pytest.approx(want, abs=1e-15)
         assert r.rhs_tight == pytest.approx(want, abs=1e-12)
-
-    def test_tight_clamps_negative_factors(self):
-        val = inequalities.tight_rhs_values(-0.3, 0.5, 0.1)
-        assert val == pytest.approx(0.0)
-
-    def test_ckw_margin_is_tau(self):
-        r = inequalities.build_report(states.make_w(), "A")
-        holds, margin = inequalities.ckw_holds(r)
-        assert holds
-        assert margin == pytest.approx(r.c2_abc - r.c2_ab - r.c2_ac, abs=1e-15)
 
 
 class TestClassify:
@@ -90,6 +78,15 @@ class TestClassify:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             inequalities.classify_gaps(0.1, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tolerance(self, tol):
+        # NaN compares false with every gap and would label it strict;
+        # inf would label every gap saturated
+        with pytest.raises(ValueError, match="finite"):
+            inequalities.classify_gaps(0.1, tol=tol)
+        with pytest.raises(ValueError, match="finite"):
+            inequalities.build_report(states.make_ghz(), "A", tol=tol)
 
 
 class TestTableAndReport:

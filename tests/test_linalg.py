@@ -105,6 +105,20 @@ class TestPartialTrace:
         want = np.einsum("abcade->bcde", rho).reshape(4, 4)
         np.testing.assert_allclose(linalg.partial_trace(psi, ("B", "C")), want, atol=1e-14)
 
+    @pytest.mark.parametrize("label, subscripts", [
+        ("A", "nijk,nljk->nil"), ("B", "njik,njlk->nil"), ("C", "njki,njkl->nil")])
+    def test_single_marginal_is_bitwise_einsum(self, rng, label, subscripts):
+        # dyadic moduli and phases in {1, i, -1, -i} make every product and
+        # sum exact, so the two routes agree bit for bit in any summation order
+        moduli = np.tile([0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25, 0.0], (200, 1))
+        phases = np.array([1, 1j, -1, -1j])[rng.integers(0, 4, (200, 8))]
+        psi = rng.permuted(moduli, axis=1) * phases
+        t = psi.reshape(-1, 2, 2, 2)
+        norm2 = np.sum(np.abs(psi) ** 2, axis=-1)[:, None, None]
+        want = np.einsum(subscripts, t, t.conj()) / norm2
+        np.testing.assert_array_equal(linalg.partial_trace(psi, label), want)
+        np.testing.assert_array_equal(linalg.partial_trace(psi, (label,)), want)
+
     @pytest.mark.parametrize("keep", [("A", "B"), ("A", "C"), ("B", "C")])
     def test_marginal_is_density_matrix(self, rng, keep):
         rho = linalg.partial_trace(random_pure_state(rng, 8), keep)
@@ -128,7 +142,7 @@ class TestPartialTrace:
     def test_single_qubit_purity_agrees_between_cuts(self, rng):
         # Schmidt spectrum across A|BC is shared, so both purities agree.
         psi = random_pure_state(rng, 8)
-        rho_a = linalg.partial_trace_single(psi, "A")
+        rho_a = linalg.partial_trace(psi, "A")
         rho_bc = linalg.partial_trace(psi, ("B", "C"))
         pa = np.trace(rho_a @ rho_a).real
         pbc = np.trace(rho_bc @ rho_bc).real
@@ -137,7 +151,7 @@ class TestPartialTrace:
     def test_unnormalized_input_is_normalized(self):
         psi = np.zeros(8, dtype=complex)
         psi[0] = 1.0 + 5e-7
-        rho = linalg.partial_trace_single(psi, "A")
+        rho = linalg.partial_trace(psi, "A")
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-13)
 
     def test_rejects_bad_labels(self, rng):
@@ -145,4 +159,6 @@ class TestPartialTrace:
         with pytest.raises(ValueError):
             linalg.partial_trace(psi, ("A", "A"))
         with pytest.raises(ValueError):
-            linalg.partial_trace_single(psi, "D")
+            linalg.partial_trace(psi, "D")
+        with pytest.raises(ValueError):
+            linalg.partial_trace(psi, "ABC")

@@ -216,9 +216,14 @@ class TestBipartition:
     def test_matches_marginal_determinant(self, rng):
         for pivot in linalg.QUBIT_LABELS:
             psi = random_pure_state(rng, 8)
-            rho = linalg.partial_trace_single(psi, pivot)
+            rho = linalg.partial_trace(psi, pivot)
             want = 2.0 * math.sqrt(max(np.linalg.det(rho).real, 0.0))
             assert measures.concurrence_bipartition(psi, pivot) == pytest.approx(want, abs=1e-12)
+
+    def test_two_letter_pivot_is_rejected(self, rng):
+        # a pivot names one qubit; "AB" must not read as the pair (A, B)
+        with pytest.raises(ValueError):
+            measures.bipartition_c2_raw(random_pure_state(rng, 8), "AB")
 
 
 class TestTangle:

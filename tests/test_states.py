@@ -261,3 +261,10 @@ class TestValidateAndFiles:
         path.write_text(json.dumps([["x", 0.0]] + [[0.0, 0.0]] * 7))
         with pytest.raises(ValueError):
             states.read_state_file(path)
+
+    def test_read_rejects_booleans(self, tmp_path):
+        # bool is an int subclass: [true, false] must not read as amplitude 1
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps([[True, False]] + [[0, 0]] * 7))
+        with pytest.raises(ValueError, match="^entry 0 must hold two numbers$"):
+            states.read_state_file(path)
