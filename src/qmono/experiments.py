@@ -183,6 +183,11 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
         psis = states.make_bell_product(grid[ok])
     else:
         p2, p3, p4 = fixed["p2"], fixed["p3"], fixed["p4"]
+        # checked here, since a grid without a feasible point builds no state to check them
+        failure = _first_failure(states._entry_checks(
+            np.array([p2, p3, p4], dtype=np.float64), np.asarray(fixed["theta"], dtype=np.float64)))
+        if failure is not None:
+            raise ValueError(failure[1])
         p5sq = 1.0 - grid * grid - p2 * p2 - p3 * p3 - p4 * p4
         ok = (grid >= 0.0) & (p5sq >= 0.0)
         params = {"p1": grid, "p2": np.full(n, p2, dtype=np.float64),
@@ -226,6 +231,9 @@ def run_figure(which, seed, n=100, pivot="A", tolerance=SATURATION_TOL):
     if which not in _FIGURES:
         raise ValueError(f"figure must be one of {sorted(_FIGURES)}, got {which!r}")
     family, mode, keys = _FIGURES[which]
+    least = 1 if mode == "ensemble" else 2  # samples, or grid points of the p1 sweep
+    if n < least:
+        raise ValueError(f"--n must be at least {least} for figure {which}, got {n}")
     if mode == "ensemble":
         table, _ = run_ensemble(EnsembleConfig(family=family, count=n, seed=seed,
                                                pivot=pivot, tolerance=tolerance))
@@ -236,8 +244,8 @@ def run_figure(which, seed, n=100, pivot="A", tolerance=SATURATION_TOL):
         xlabel, columns, kind = "p1", SCAN_COLUMNS, "line"
         x_key = "p1"
     usable = _feasible(table)
-    xs = table[x_key][usable].tolist()
-    series = [svgplot.Series(_SERIES_LABEL[k], xs, table[k][usable].tolist(), kind) for k in keys]
+    xs = table[x_key][usable]
+    series = [svgplot.Series(_SERIES_LABEL[k], xs, table[k][usable], kind) for k in keys]
     title = f"figure {which}: {family}, bound comparison at pivot {pivot}"
     return table, columns, series, title, xlabel
 
@@ -278,9 +286,21 @@ def _csv_field(text: str) -> str:
 
 
 def _distinct(col):
-    """The distinct values of a string column as str, and each row's index into them."""
-    values, inverse = np.unique(col, return_inverse=True)
-    return [str(v) for v in values], inverse.reshape(-1)
+    """The distinct values of a string column as str, and each row's index into them.
+
+    One vectorized comparison per distinct value, in order of first
+    appearance, and no sort: a written string column holds a family, the
+    three classes, a note or the few audit formulas.
+    """
+    values, inverse = [], np.zeros(len(col), dtype=np.intp)
+    left = np.ones(len(col), dtype=bool)
+    while left.any():
+        value = col[left.argmax()]
+        same = col == value
+        inverse[same] = len(values)
+        left &= ~same
+        values.append(str(value))
+    return values, inverse
 
 
 # CSV numbers.  A cell's text is 24 bytes (six uint32 words), NUL wherever it

@@ -269,19 +269,27 @@ def make_bell_product(p1):
     return psi
 
 
+def _entry_checks(p, theta):
+    """The _first_failure checks on single entries of parameter rows p (..., k)
+    and angles theta: amplitudes finite and non-negative, theta in [0, pi)."""
+    return [(np.any(p < 0.0, axis=-1) | ~np.all(np.isfinite(p), axis=-1),
+             lambda r: "canonical parameters must be finite and non-negative"),
+            (~((0.0 <= theta) & (theta < math.pi)),
+             lambda r: f"theta must lie in [0, pi), got {float(theta.flat[r])!r}")]
+
+
 def _check_canonical_params(p, theta):
     """Parameter rows p (..., 5) and angles theta, checked row by row."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape[-1:] != (5,):
         raise ValueError(f"need 5 canonical parameters, got shape {p.shape}")
     s, theta = np.broadcast_arrays(np.sum(p * p, axis=-1), np.asarray(theta, dtype=np.float64))
+    signs, angles = _entry_checks(p, theta)
     failure = _first_failure([
-        (np.any(p < 0.0, axis=-1) | ~np.all(np.isfinite(p), axis=-1),
-         lambda r: "canonical parameters must be finite and non-negative"),
+        signs,
         (np.abs(s - 1.0) > PARAM_NORM_TOL,
          lambda r: f"sum of squared parameters is {float(s.flat[r])!r}, must be 1"),
-        (~((0.0 <= theta) & (theta < math.pi)),
-         lambda r: f"theta must lie in [0, pi), got {float(theta.flat[r])!r}"),
+        angles,
     ])
     if failure is not None:
         raise ValueError(failure[1])

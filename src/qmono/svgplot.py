@@ -1,12 +1,16 @@
-"""Minimal SVG scatter/line rendering, no dependencies.
+"""Minimal SVG scatter/line rendering from numpy arrays.
 
 The CSV files are the data contract; these plots exist only to eyeball
 the orderings between the curves.  Output is plain well-formed XML.
+A series comes in as float64 arrays; its pixel coordinates are computed
+as whole-array expressions and written with one `%` template per series.
 """
 
 from __future__ import annotations
 
 from xml.sax.saxutils import escape
+
+import numpy as np
 
 __all__ = ["Series", "render_svg"]
 
@@ -16,26 +20,34 @@ _COLORS = ("#c62828", "#2e7d32", "#212121", "#1565c0", "#6a1b9a")
 
 
 class Series:
-    """One named curve: x values, y values, scatter or line."""
+    """One named curve: x values, y values (1-D float64 arrays), scatter or line."""
 
     def __init__(self, name, xs, ys, kind="scatter"):
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if xs.ndim != 1 or ys.ndim != 1:
+            raise ValueError("series x and y values must be one-dimensional")
         if len(xs) != len(ys):
             raise ValueError("series x and y lengths differ")
         if kind not in ("scatter", "line"):
             raise ValueError(f"kind must be scatter or line, got {kind!r}")
         self.name = str(name)
-        self.xs = [float(x) for x in xs]
-        self.ys = [float(y) for y in ys]
+        self.xs = xs
+        self.ys = ys
         self.kind = kind
 
 
+def _extremes(values):
+    """min and max as Python's min() and max() pick them: of equal values
+    (0.0 and -0.0) the first wins, where np.min and np.max may take either."""
+    return float(values[values.argmin()]), float(values[values.argmax()])
+
+
 def _bounds(series):
-    xs = [x for s in series for x in s.xs]
-    ys = [y for s in series for y in s.ys]
-    if not xs:
+    if not any(len(s.xs) for s in series):
         return 0.0, 1.0, 0.0, 1.0
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = _extremes(np.concatenate([s.xs for s in series]))
+    y0, y1 = _extremes(np.concatenate([s.ys for s in series]))
     if x1 == x0:
         x1 = x0 + 1.0
     if y1 == y0:
@@ -49,12 +61,6 @@ def render_svg(path, title, xlabel, ylabel, series) -> None:
     x0, x1, y0, y1 = _bounds(series)
     pw = _WIDTH - _MARGIN_L - _MARGIN_R
     ph = _HEIGHT - _MARGIN_T - _MARGIN_B
-
-    def px(x):
-        return _MARGIN_L + (x - x0) / (x1 - x0) * pw
-
-    def py(y):
-        return _MARGIN_T + ph - (y - y0) / (y1 - y0) * ph
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -83,12 +89,17 @@ def render_svg(path, title, xlabel, ylabel, series) -> None:
     ]
     for k, s in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
+        # the per-point formulas in their operation order, so each double is
+        # the one a scalar evaluation gives; '%.2f' % x is f"{x:.2f}" byte for byte
+        px = _MARGIN_L + (s.xs - x0) / (x1 - x0) * pw
+        py = _MARGIN_T + ph - (s.ys - y0) / (y1 - y0) * ph
+        coords = tuple(np.column_stack((px, py)).ravel().tolist())
         if s.kind == "line":
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys))
+            pts = " ".join(["%.2f,%.2f"] * len(s.xs)) % coords
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        else:
-            for x, y in zip(s.xs, s.ys):
-                parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" fill="{color}"/>')
+        elif coords:
+            circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>'
+            parts.append("\n".join([circle] * len(s.xs)) % coords)
         ly = _MARGIN_T + 16 + 16 * k
         parts.append(f'<rect x="{_MARGIN_L + pw - 150}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
         parts.append(f'<text x="{_MARGIN_L + pw - 135}" y="{ly}" font-size="12">{escape(s.name)}</text>')

@@ -4,6 +4,7 @@ import csv
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from qmono import cli, experiments, states
@@ -245,6 +246,19 @@ class TestScan:
         assert "tol must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fixed,message", [
+        (["--p2", "nan"], "canonical parameters must be finite and non-negative"),
+        (["--p3", "inf"], "canonical parameters must be finite and non-negative"),
+        (["--theta", "nan"], "theta must lie in [0, pi), got nan"),
+    ])
+    def test_non_finite_fixed_coefficient_exits_2(self, tmp_path, capsys, fixed, message):
+        # p1 > 1 leaves no point of this grid a state that would check them
+        out = tmp_path / "scan.csv"
+        assert run_cli(["scan", "--family", "canonical-a", "--from", "1.1", "--to", "1.2",
+                        "--steps", "3", *fixed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_rejects_unsupported_parameter(self, capsys):
         assert run_cli(["scan", "--family", "bell-product", "--param", "p3",
                         "--from", "0", "--to", "1", "--steps", "3",
@@ -273,6 +287,14 @@ class TestFigures:
             circles = root.findall(".//s:circle", ns)
             assert len(circles) == len(usable) * n_series
 
+    @pytest.mark.parametrize("which,n,least", [(2, 1, 2), (1, 0, 1)])
+    def test_too_small_n_names_the_option(self, tmp_path, capsys, which, n, least):
+        assert run_cli(["figures", "--which", str(which), "--n", str(n),
+                        "--out-dir", str(tmp_path / "figs")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --n must be at least {least} for figure {which}, got {n}\n")
+        assert not (tmp_path / "figs").exists()
+
     def test_svg_points_come_from_csv(self, tmp_path, capsys):
         # every plotted y value must appear in the CSV data columns
         run_cli(["figures", "--which", "3", "--seed", "4", "--n", "10",
@@ -282,7 +304,7 @@ class TestFigures:
             rows = list(csv.DictReader(fh))
         _, _, series, _, _ = experiments.run_figure(3, seed=4, n=10)
         for s, key in zip(series, ("c2_abc", "rhs_tight")):
-            assert s.ys == [float(r[key]) for r in rows]
+            assert np.array_equal(s.ys, [float(r[key]) for r in rows])
 
 
 class TestDiscrepancy:

@@ -237,6 +237,16 @@ class TestRunScan:
         with pytest.raises(ValueError, match="^tol must be finite"):
             experiments.run_scan("bell-product", lo, hi, 3, tolerance=tol)
 
+    @pytest.mark.parametrize("fixed,message", [
+        ({"p2": float("nan")}, "canonical parameters must be finite and non-negative"),
+        ({"p4": -0.99}, "canonical parameters must be finite and non-negative"),
+        ({"theta": np.pi}, "theta must lie in"),
+    ])
+    def test_rejects_bad_fixed_coefficients_before_the_grid(self, fixed, message):
+        # p1 > 1 leaves no point of this grid a state, so only the up-front check sees them
+        with pytest.raises(ValueError, match=message):
+            experiments.run_scan("canonical-b", 1.1, 1.2, 3, fixed=fixed)
+
 
 class TestRunFigure:
     def test_ensemble_figure_has_three_series(self):
@@ -264,6 +274,11 @@ class TestRunFigure:
     def test_rejects_unknown_figure(self):
         with pytest.raises(ValueError):
             experiments.run_figure(5, seed=0)
+
+    @pytest.mark.parametrize("which,n", [(1, 0), (2, 1), (3, -1), (4, 0)])
+    def test_rejects_too_small_n(self, which, n):
+        with pytest.raises(ValueError, match=f"^--n must be at least {1 + (which == 2)} "):
+            experiments.run_figure(which, seed=0, n=n)
 
 
 class TestWriteRows:
@@ -294,6 +309,16 @@ class TestWriteRows:
         data = json.loads(path.read_text())
         assert len(data) == 3
         assert data[0]["family"] == "canonical-a"
+
+    @pytest.mark.parametrize("col", [
+        np.array(["b", "a", "b", "c", "a"]),
+        np.array(["", "violated", "", "saturated"], dtype=object),
+        np.array([], dtype=str),
+    ])
+    def test_distinct_values_in_order_of_first_appearance(self, col):
+        values, inverse = experiments._distinct(col)
+        assert values == list(dict.fromkeys(col.tolist()))
+        assert [values[i] for i in inverse] == col.tolist()
 
     def test_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
