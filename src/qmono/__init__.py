@@ -20,12 +20,10 @@ from .measures import (
     lambda_spectrum,
     residual_tangle,
     residual_tangle_lambda,
-    spin_flip_qubit,
     spin_flip_two_qubit,
     trace_rho_rhotilde,
 )
 from .states import (
-    StateFamilySpec,
     make_bell_product,
     make_canonical_a,
     make_canonical_b,
@@ -54,10 +52,8 @@ __all__ = [
     "lambda_spectrum",
     "residual_tangle",
     "residual_tangle_lambda",
-    "spin_flip_qubit",
     "spin_flip_two_qubit",
     "trace_rho_rhotilde",
-    "StateFamilySpec",
     "make_bell_product",
     "make_canonical_a",
     "make_canonical_b",

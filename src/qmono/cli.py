@@ -12,7 +12,6 @@ written so the offending records can be inspected.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -41,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_report(report, label: str, fmt: str, family: str) -> None:
-    d = {**dataclasses.asdict(report), "class": label}
+    d = {**vars(report), "class": label, "saturated_tight": label == "saturated"}
     order = ["pivot", "c2_ab", "c2_ac", "c2_abc", "tau",
              "rhs_fei", "rhs_tight", "gap_fei", "gap_tight", "class"]
     for key in order:
@@ -54,7 +53,7 @@ def _print_report(report, label: str, fmt: str, family: str) -> None:
         print(json.dumps(d, sort_keys=True))
 
 
-def _spec_from_args(args) -> states.StateFamilySpec:
+def _state_from_args(args) -> np.ndarray:
     family = args.family
     if family in ("canonical-a", "canonical-b"):
         given = [args.p1, args.p2, args.p3, args.p4, args.p5]
@@ -66,23 +65,23 @@ def _spec_from_args(args) -> states.StateFamilySpec:
             if rest > 1.0 + states.PARAM_NORM_TOL:
                 raise ValueError("p1..p4 already exceed normalization; no p5 exists")
             given[4] = math.sqrt(max(1.0 - rest, 0.0))
-        return states.StateFamilySpec(family=family, p=tuple(float(v) for v in given),
-                                      theta=args.theta)
+        make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
+        return make(given, args.theta)
     if family == "bell-product":
         if args.p1 is None:
             raise ValueError("bell-product requires --p1")
-        return states.StateFamilySpec(family=family, p1=args.p1)
+        return states.make_bell_product(args.p1)
     if family == "haar":
-        return states.StateFamilySpec(family=family, seed=args.seed, index=0)
-    return states.StateFamilySpec(family=family)
+        return states.sample_haar(states.RngState(args.seed, 0))
+    return states.make_ghz() if family == "ghz" else states.make_w()
 
 
 def cmd_analyze(args) -> int:
     if args.state is not None:
         psi = states.read_state_file(args.state)
     else:
-        psi = _spec_from_args(args).build()
-    report = build_report(psi, args.pivot, args.tol)
+        psi = _state_from_args(args)
+    report = build_report(psi, args.pivot)
     label = classify(report, args.tol)
     _print_report(report, label, args.format, args.family if args.state is None else "file")
     if label == "violated":
@@ -112,8 +111,6 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    if args.param != "p1":
-        raise ValueError(f"only p1 scans are supported, got {args.param!r}")
     fixed = {"p2": args.p2, "p3": args.p3, "p4": args.p4, "theta": args.theta}
     fixed = {k: v for k, v in fixed.items() if v is not None}
     table = experiments.run_scan(args.family, args.lo, args.hi, args.steps,
@@ -208,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("scan", help="sweep p1 on a grid and write one CSV row per point")
     ps.add_argument("--family", choices=("bell-product", "canonical-a", "canonical-b"),
                     required=True)
-    ps.add_argument("--param", default="p1", help="swept parameter (only p1)")
     ps.add_argument("--from", dest="lo", type=float, required=True)
     ps.add_argument("--to", dest="hi", type=float, required=True)
     ps.add_argument("--steps", type=int, required=True)

@@ -21,9 +21,15 @@ The sum form has no column of its own: by the closure, its gap
 C^2_X(YZ) - (C^2_XY + C^2_XZ) is tau, so the tau column is that gap.
 These identities hold by construction, not within a tolerance: tau is
 identical at every pivot, neither gap is ever negative, and the tight gap
-is exactly 0 when T_XY == T_XZ, i.e. when C_XY = C_XZ.  The tight form
-dominates the product form (gap_tight <= gap_fei), and its gap obeys
-(C^2_X(YZ))^2 - rhs_tight^2 = (C^2_XY - C^2_XZ)^2.
+is exactly 0 when T_XY == T_XZ, i.e. when C_XY = C_XZ.  The CKW closure
+at each partner qubit gives
+
+    T_XY - T_XZ = 2 (Tr rho_Z^2 - Tr rho_Y^2),
+
+so the tight bound is saturated exactly when the pivot's two partners
+are equally mixed.  The tight form dominates the product form (gap_tight
+<= gap_fei), and its gap obeys (C^2_X(YZ))^2 - rhs_tight^2 = (C^2_XY -
+C^2_XZ)^2.
 """
 
 from __future__ import annotations
@@ -71,7 +77,6 @@ class MonogamyReport:
     rhs_tight: float
     gap_fei: float
     gap_tight: float
-    saturated_tight: bool
     raw_unclamped: dict
 
 
@@ -151,9 +156,8 @@ def _signed_root(c2: float) -> float:
     return math.copysign(math.sqrt(abs(c2)), c2)
 
 
-def build_report(psi, pivot: str = "A", tol: float = SATURATION_TOL) -> MonogamyReport:
-    """Compose the measures into a single-state MonogamyReport."""
-    _check_tol(tol)
+def build_report(psi, pivot: str = "A") -> MonogamyReport:
+    """One row of monogamy_table as a MonogamyReport; classify labels it."""
     table = monogamy_table(np.asarray(psi, dtype=np.complex128)[None, :], pivot)
     vals = {k: float(v[0]) for k, v in table.items()}
     return MonogamyReport(
@@ -166,7 +170,6 @@ def build_report(psi, pivot: str = "A", tol: float = SATURATION_TOL) -> Monogamy
         rhs_tight=vals["rhs_tight"],
         gap_fei=vals["gap_fei"],
         gap_tight=vals["gap_tight"],
-        saturated_tight=bool(abs(vals["gap_tight"]) <= tol),
         raw_unclamped={
             "c_ab": _signed_root(vals["raw_c2_ab"]),
             "c_ac": _signed_root(vals["raw_c2_ac"]),

@@ -15,9 +15,7 @@ import numpy as np
 __all__ = [
     "QUBIT_POSITION",
     "QUBIT_LABELS",
-    "SIGMA_X",
     "SIGMA_Y",
-    "SIGMA_Z",
     "SPIN_FLIP_4",
     "state_tensor",
     "partial_trace",
@@ -28,9 +26,7 @@ __all__ = [
 QUBIT_LABELS = ("A", "B", "C")
 QUBIT_POSITION = {"A": 0, "B": 1, "C": 2}
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 SPIN_FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
 
 # Hermiticity acceptance threshold (max entrywise |m - m^dag|).

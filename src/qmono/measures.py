@@ -52,14 +52,12 @@ from .linalg import (
     QUBIT_LABELS,
     QUBIT_POSITION,
     SPIN_FLIP_4,
-    SIGMA_Y,
     hermitian_eigensystem,
     partial_trace,
     state_tensor,
 )
 
 __all__ = [
-    "spin_flip_qubit",
     "spin_flip_two_qubit",
     "lambda_spectrum",
     "concurrence_mixed",
@@ -86,12 +84,6 @@ def _as_square(rho, d, name):
     if rho.shape[-2:] != (d, d):
         raise ValueError(f"{name} must be {d}x{d}, got shape {rho.shape}")
     return rho
-
-
-def spin_flip_qubit(rho):
-    """sigma_y conj(rho) sigma_y, the Bloch-vector negation of one qubit."""
-    rho = _as_square(rho, 2, "rho")
-    return SIGMA_Y @ np.conj(rho) @ SIGMA_Y
 
 
 def spin_flip_two_qubit(rho):
@@ -131,15 +123,10 @@ def lambda_spectrum(rho):
     return np.linalg.svd(np.swapaxes(x, -1, -2) @ SPIN_FLIP_4 @ x, compute_uv=False)
 
 
-def concurrence_raw(rho):
-    """lambda_1 - lambda_2 - lambda_3 - lambda_4, without the final max."""
-    lam = lambda_spectrum(rho)
-    return lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
-
-
 def concurrence_mixed(rho):
     """Wootters concurrence of a two-qubit density matrix, in [0, 1]."""
-    return np.clip(concurrence_raw(rho), 0.0, 1.0)
+    lam = lambda_spectrum(rho)
+    return np.clip(lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3], 0.0, 1.0)
 
 
 def concurrence_pure_2q(psi4):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .linalg import NORM_TOL
 __all__ = [
     "FAMILIES",
     "RngState",
-    "StateFamilySpec",
     "make_ghz",
     "make_w",
     "make_bell_product",
@@ -188,10 +187,6 @@ class RngState:
         key = () if index is None else (int(index),)
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
         self._gen = np.random.Generator(np.random.PCG64(seq))
-
-    def stream(self, index: int) -> "RngState":
-        """Independent substream for ensemble element `index`."""
-        return RngState(self.seed, index)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
@@ -358,15 +353,23 @@ def _simplex_params(u):
     return np.sqrt(spacings), u[..., 4] * math.pi
 
 
-def sample_canonical(rng: RngState, family: str) -> "StateFamilySpec":
+class CanonicalParams(NamedTuple):
+    """The five amplitudes p1..p5 and the phase theta of one canonical state."""
+
+    p: tuple[float, float, float, float, float]
+    theta: float
+
+
+def sample_canonical(rng: RngState, family: str) -> CanonicalParams:
     """Random canonical parameters: (p1^2..p5^2) uniform on the 4-simplex.
 
     The simplex point comes from the spacings of four sorted uniforms; the
-    p_i are its square roots.  theta is uniform on [0, pi).
+    p_i are its square roots.  theta is uniform on [0, pi).  The family
+    only names the parametrization; make_canonical_a/b builds the state.
     """
     _check_canonical_family(family)
     p, theta = _simplex_params(rng.uniforms(5))
-    return StateFamilySpec(family=family, p=tuple(p.tolist()), theta=float(theta))
+    return CanonicalParams(tuple(p.tolist()), float(theta))
 
 
 def sample_canonical_batch(seed: int, n: int, family: str):
@@ -376,42 +379,6 @@ def sample_canonical_batch(seed: int, n: int, family: str):
     """
     _check_canonical_family(family)
     return _simplex_params(uniforms(seed, np.arange(int(n), dtype=np.uint64), 5))
-
-
-@dataclass(frozen=True)
-class StateFamilySpec:
-    """Tagged parametrization of one state from a named family."""
-
-    family: str
-    p1: float | None = None
-    p: tuple[float, float, float, float, float] | None = None
-    theta: float = 0.0
-    seed: int | None = None
-    index: int = 0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.family == "bell-product" and self.p1 is None:
-            raise ValueError("bell-product requires p1")
-        if self.family in ("canonical-a", "canonical-b") and self.p is None:
-            raise ValueError(f"{self.family} requires the five parameters p")
-        if self.family == "haar" and self.seed is None:
-            raise ValueError("haar requires a seed")
-
-    def build(self) -> np.ndarray:
-        """Construct the state vector this spec describes."""
-        if self.family == "ghz":
-            return make_ghz()
-        if self.family == "w":
-            return make_w()
-        if self.family == "bell-product":
-            return make_bell_product(self.p1)
-        if self.family == "canonical-a":
-            return make_canonical_a(self.p, self.theta)
-        if self.family == "canonical-b":
-            return make_canonical_b(self.p, self.theta)
-        return sample_haar(RngState(self.seed, self.index))
 
 
 def read_state_file(path) -> np.ndarray:
@@ -427,7 +394,10 @@ def read_state_file(path) -> np.ndarray:
         # JSON true and false load as bool, a subclass of int: not numbers here
         if any(type(v) not in (int, float) for v in entry):
             raise ValueError(f"entry {k} must hold two numbers")
-        amps.append(complex(*entry))
+        try:
+            amps.append(complex(*entry))
+        except OverflowError:  # an integer too large for a double
+            raise ValueError(f"entry {k} must hold two numbers") from None
     return validate(np.array(amps, dtype=np.complex128))
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qmono import cli, experiments, states
+from qmono.inequalities import build_report
 
 
 def run_cli(args):
@@ -93,6 +94,51 @@ class TestAnalyze:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: entry 0 must hold two numbers\n"
+
+    def test_oversized_integer_amplitude_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text("[[1" + "0" * 400 + ", 0]" + ", [0, 0]" * 7 + "]")
+        assert run_cli(["analyze", "--state", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: entry 0 must hold two numbers\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--family", "bell-product"], "bell-product requires --p1"),
+        (["--family", "canonical-a", "--p1", "0.4"],
+         "canonical-a requires --p1 --p2 --p3 --p4 (and --p5 or it is derived "
+         "from normalization)"),
+        (["--family", "canonical-b", "--p1", "0.9", "--p2", "0.9", "--p3", "0", "--p4", "0"],
+         "p1..p4 already exceed normalization; no p5 exists"),
+    ])
+    def test_missing_family_parameters_exit_2(self, capsys, flags, message):
+        assert run_cli(["analyze", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_haar_report_is_the_library_report(self, capsys):
+        assert run_cli(["analyze", "--family", "haar", "--seed", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        report = build_report(states.sample_haar(states.RngState(3, 0)))
+        assert {k: payload[k] for k in vars(report)} == vars(report)
+
+    @pytest.mark.parametrize("family", [
+        ["--family", "ghz"],
+        ["--family", "w"],
+        ["--family", "bell-product", "--p1", "0.6"],
+        ["--family", "canonical-a", "--p1", "0.4", "--p2", "0.17", "--p3", "0.16",
+         "--p4", "0.15", "--theta", "2.5"],
+        ["--family", "canonical-b", "--p1", "0.5", "--p2", "0.4", "--p3", "0.3", "--p4", "0.2"],
+        ["--family", "haar", "--seed", "7"],
+    ], ids=lambda flags: flags[1])
+    @pytest.mark.parametrize("pivot", ["A", "B", "C"])
+    @pytest.mark.parametrize("tol", [[], ["--tol", "0.5"]], ids=["default-tol", "tol-0.5"])
+    def test_saturated_tight_is_the_saturated_class(self, capsys, family, pivot, tol):
+        assert run_cli(["analyze", *family, "--pivot", pivot, *tol]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert payload["pivot"] == pivot
+        assert payload["saturated_tight"] is (payload["class"] == "saturated")
 
     @pytest.mark.parametrize("tol", ["--tol=nan", "--tol=inf", "--tol=-inf"])
     def test_non_finite_tol_exits_2(self, capsys, tol):
@@ -259,11 +305,15 @@ class TestScan:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_rejects_unsupported_parameter(self, capsys):
-        assert run_cli(["scan", "--family", "bell-product", "--param", "p3",
-                        "--from", "0", "--to", "1", "--steps", "3",
-                        "--out", "/tmp/never-written.csv"]) == 2
-        capsys.readouterr()
+    def test_rejects_unsupported_parameter(self, tmp_path, capsys):
+        # p1 is the only swept parameter, so there is no --param option
+        out = tmp_path / "scan.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["scan", "--family", "bell-product", "--param", "p3",
+                     "--from", "0", "--to", "1", "--steps", "3", "--out", str(out)])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --param p3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFigures:

@@ -14,10 +14,11 @@ from qmono.inequalities import monogamy_table
 
 
 def _sampled(family, n=60, seed=42):
+    make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
     specs = [states.sample_canonical(states.RngState(seed, i), family) for i in range(n)]
     p = np.array([s.p for s in specs])
     theta = np.array([s.theta for s in specs])
-    psis = np.stack([s.build() for s in specs])
+    psis = np.stack([make(s.p, s.theta) for s in specs])
     return p, theta, monogamy_table(psis, "A")
 
 

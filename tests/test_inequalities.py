@@ -23,7 +23,6 @@ class TestGoldens:
         assert r.tau == pytest.approx(1.0, abs=1e-12)
         assert r.rhs_tight == pytest.approx(1.0, abs=1e-12)
         assert abs(r.gap_tight) <= 1e-12
-        assert r.saturated_tight
         assert inequalities.classify(r) == "saturated"
 
     def test_w(self):
@@ -85,8 +84,6 @@ class TestClassify:
         # inf would label every gap saturated
         with pytest.raises(ValueError, match="finite"):
             inequalities.classify_gaps(0.1, tol=tol)
-        with pytest.raises(ValueError, match="finite"):
-            inequalities.build_report(states.make_ghz(), "A", tol=tol)
 
 
 class TestTableAndReport:
@@ -254,7 +251,7 @@ class TestExactByConstruction:
     @pytest.mark.parametrize("family", ["w", "ghz"])
     @pytest.mark.parametrize("pivot", ["A", "B", "C"])
     def test_canonical_saturated_states_have_zero_gap(self, family, pivot):
-        r = inequalities.build_report(states.StateFamilySpec(family=family).build(), pivot)
+        r = inequalities.build_report(getattr(states, f"make_{family}")(), pivot)
         assert r.gap_tight == 0.0
         assert r.gap_fei == 0.0
         assert r.rhs_tight == r.c2_abc
@@ -278,6 +275,21 @@ class TestExactByConstruction:
         np.testing.assert_allclose(table["gap_tight"], table["c2_abc"] - table["rhs_tight"],
                                    atol=1e-14)
         np.testing.assert_allclose(table["gap_fei"], table["c2_abc"] - table["rhs_fei"],
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("pivot", ["A", "B", "C"])
+    def test_pair_trace_difference_is_partner_purity_difference(self, pivot):
+        # CKW closure at each partner: T_XY - T_XZ = 2 (Tr rho_Z^2 - Tr rho_Y^2),
+        # so gap_tight is 0 exactly when the two partners are equally mixed
+        psis = states.sample_haar_batch(13, 10_000)
+        t_xy, t_xz, _ = measures.pure_state_invariants(psis, pivot)
+        (_, y), (_, z) = measures.pivot_pairs(pivot)
+
+        def purity(q):
+            rho = measures.partial_trace(psis, q)
+            return np.real(np.einsum("...ij,...ji->...", rho, rho))
+
+        np.testing.assert_allclose(t_xy - t_xz, 2.0 * (purity(z) - purity(y)), rtol=0,
                                    atol=1e-14)
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-6])

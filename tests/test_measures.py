@@ -45,13 +45,6 @@ def werner(p):
 
 
 class TestSpinFlip:
-    def test_one_qubit_negates_bloch_vector(self, rng):
-        n = rng.normal(size=3)
-        n /= np.linalg.norm(n) * 2.0
-        rho = np.eye(2) / 2 + n[0] * linalg.SIGMA_X + n[1] * linalg.SIGMA_Y + n[2] * linalg.SIGMA_Z
-        flipped = measures.spin_flip_qubit(rho)
-        np.testing.assert_allclose(flipped, np.eye(2) - rho, atol=1e-14)
-
     def test_two_qubit_matches_kron_reference(self, rng):
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = a @ a.conj().T

@@ -124,7 +124,7 @@ class TestSampling:
             assert sum(x * x for x in spec.p) == pytest.approx(1.0, abs=1e-12)
             assert all(x >= 0 for x in spec.p)
             assert 0.0 <= spec.theta < math.pi
-            spec.build()
+            states.make_canonical_a(spec.p, spec.theta)
 
     def test_canonical_sample_rejects_other_families(self):
         with pytest.raises(ValueError):
@@ -182,7 +182,7 @@ class TestStreamRebuild:
                                                                math.sin(spec.theta))
             want[list(support[1:])] = spec.p[1:]
             np.testing.assert_array_equal(psis[i].view(np.uint64), want.view(np.uint64))
-            np.testing.assert_array_equal(spec.build(), want)
+            np.testing.assert_array_equal(maker(spec.p, spec.theta), want)
 
     def test_canonical_batch_snapshot(self):
         p, theta = states.sample_canonical_batch(2024, 1, "canonical-b")
@@ -210,24 +210,6 @@ class TestStreamRebuild:
             states.make_canonical_b(p[:2], [0.0, 4.0])
         with pytest.raises(ValueError, match="p1 must lie in"):
             states.make_bell_product([0.2, 1.5])
-
-class TestFamilySpec:
-    def test_build_each_family(self):
-        assert states.StateFamilySpec(family="ghz").build()[0] != 0
-        assert states.StateFamilySpec(family="w").build()[1] != 0
-        assert states.StateFamilySpec(family="bell-product", p1=0.5).build()[2] != 0
-        psi = states.StateFamilySpec(family="haar", seed=3).build()
-        np.testing.assert_array_equal(psi, states.sample_haar(states.RngState(3, 0)))
-
-    def test_missing_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            states.StateFamilySpec(family="bell-product")
-        with pytest.raises(ValueError):
-            states.StateFamilySpec(family="canonical-a")
-        with pytest.raises(ValueError):
-            states.StateFamilySpec(family="haar")
-        with pytest.raises(ValueError):
-            states.StateFamilySpec(family="cluster")
 
 
 class TestValidateAndFiles:
@@ -266,5 +248,12 @@ class TestValidateAndFiles:
         # bool is an int subclass: [true, false] must not read as amplitude 1
         path = tmp_path / "bool.json"
         path.write_text(json.dumps([[True, False]] + [[0, 0]] * 7))
+        with pytest.raises(ValueError, match="^entry 0 must hold two numbers$"):
+            states.read_state_file(path)
+
+    def test_read_rejects_integers_beyond_double_range(self, tmp_path):
+        # json loads a 401-digit integer exactly; complex() cannot convert it
+        path = tmp_path / "huge.json"
+        path.write_text("[[1" + "0" * 400 + ", 0]" + ", [0, 0]" * 7 + "]")
         with pytest.raises(ValueError, match="^entry 0 must hold two numbers$"):
             states.read_state_file(path)
