@@ -70,13 +70,19 @@ def _box_muller(u):
 # The chain SeedSequence(entropy=seed, spawn_key=(i,)) -> PCG64 -> random()
 # of RngState(seed, i), rebuilt in integer arithmetic so that one pass
 # serves every index.  SeedSequence hashes 32-bit words into a pool of four
-# (O'Neill's seed_seq_fe); PCG64 is a 128-bit LCG with XSL-RR output.
+# (O'Neill's seed_seq_fe).  PCG64 is a 128-bit LCG with XSL-RR output
+# (O'Neill 2014), stepped here on two uint64 limbs (hi, lo) whose products
+# numpy wraps mod 2**64.  Its operands are all np.uint64: numpy 1.24 turns
+# a uint64 scalar combined with a Python int into a float64.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = tuple((0x2360ED051FC65DA44385DF649FCCF645 >> (32 * k)) & _MASK32
-                  for k in range(4))
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_MULT_LO_0, _MULT_LO_1 = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+_LOW32 = np.uint64(_MASK32)
+_ONE, _SHIFT_11, _SHIFT_32, _SHIFT_58, _SHIFT_63, _SHIFT_64 = (
+    np.uint64(s) for s in (1, 11, 32, 58, 63, 64))
 
 
 def _hash_consts(init, mult):
@@ -99,16 +105,24 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _mul_add128(a, m, c):
-    """a * m + c mod 2**128 on little-endian 32-bit limbs (uint64 arrays or ints)."""
-    out, carry, high = [], 0, []
-    for k in range(4):
-        prods = [a[i] * m[k - i] for i in range(k + 1)]
-        total = carry + c[k] + sum(high) + sum(p & _MASK32 for p in prods)
-        high = [p >> 32 for p in prods]
-        out.append(total & _MASK32)
-        carry = total >> 32
-    return out
+def _mulhi_mult_lo(a):
+    """The high 64 bits of the 128-bit product a * _PCG_MULT_LO, from 32-bit halves.
+
+    Hacker's Delight mulhu: no partial sum reaches 2**64.
+    """
+    a_0, a_1 = a & _LOW32, a >> _SHIFT_32
+    u = a_1 * _MULT_LO_0 + ((a_0 * _MULT_LO_0) >> _SHIFT_32)
+    v = a_0 * _MULT_LO_1 + (u & _LOW32)
+    return a_1 * _MULT_LO_1 + (u >> _SHIFT_32) + (v >> _SHIFT_32)
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, (hi, lo) * mult + inc mod 2**128, on uint64 limbs."""
+    new_lo = lo * _PCG_MULT_LO + inc_lo
+    # new_lo wrapped past 2**64 exactly when it came out below inc_lo
+    new_hi = (_mulhi_mult_lo(lo) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi
+              + (new_lo < inc_lo))
+    return new_hi, new_lo
 
 
 def _check_indices(indices) -> np.ndarray:
@@ -126,17 +140,23 @@ def _check_indices(indices) -> np.ndarray:
 
 
 def uniforms(seed: int, indices, k: int) -> np.ndarray:
-    """The first k doubles of RngState(seed, i).uniforms for every i, shape (len(indices), k).
+    """The first k doubles of RngState(seed, i).uniforms for every index i.
 
-    Bit for bit what the per-index generators give, computed for all
-    indices at once: the SeedSequence pool, generate_state(4, uint64), the
-    PCG64 seeding and k XSL-RR outputs turned into doubles as random() does.
+    Shape np.shape(indices) + (k,), bit for bit what the per-index
+    generators give, computed for all indices at once: the SeedSequence
+    pool, generate_state(4, uint64), the PCG64 seeding and k XSL-RR outputs
+    turned into doubles as random() does.
     The seed words are the same for every index, so their part of the pool
     is mixed once in Python integers; the spawn words (one, or two for an
-    index of 2**32 or more) are mixed in as arrays.
+    index of 2**32 or more) are mixed in as arrays.  The 128-bit LCG state
+    is two uint64 arrays (hi, lo): a step is lo * mult + inc on wrapping
+    uint64 products plus the carries into hi, and only the high half of
+    lo * mult_lo is formed from 32-bit halves.
     """
     seed = _check_seed(seed)
-    idx = _check_indices(indices)
+    checked = _check_indices(indices)
+    # flat so that every step is array arithmetic, which wraps without a warning
+    idx = checked.reshape(-1)
     consts = _hash_consts(_INIT_A, _MULT_A)
     # the seed's words, zero-padded to the pool size because a spawn key follows
     pool = [_hash(w, consts) for w in (seed & _MASK32, seed >> 32, 0, 0)]
@@ -153,21 +173,21 @@ def uniforms(seed: int, indices, k: int) -> np.ndarray:
     consts = _hash_consts(_INIT_B, _MULT_B)
     w = [_hash(pool[j % 4], consts) for j in range(8)]
     # generate_state gives the uint64 words (w0|w1<<32, w2|w3<<32, ...);
-    # PCG64 seeds state from the first two and the increment from the last two
-    init_state = (w[2], w[3], w[0], w[1])
-    inc = (((w[6] << 1) & _MASK32) | 1, ((w[7] << 1) & _MASK32) | (w[6] >> 31),
-           ((w[4] << 1) & _MASK32) | (w[7] >> 31), ((w[5] << 1) & _MASK32) | (w[4] >> 31))
+    # PCG64 seeds state from the first two and inc = (last two << 1) | 1
+    init_hi, init_lo, seq_hi, seq_lo = (w[j] | (w[j + 1] << _SHIFT_32) for j in range(0, 8, 2))
+    inc_hi, inc_lo = (seq_hi << _ONE) | (seq_lo >> _SHIFT_63), (seq_lo << _ONE) | _ONE
     # seeding sets state = inc + init_state and takes one LCG step
-    state = _mul_add128(_mul_add128(inc, (1, 0, 0, 0), init_state), _PCG_MULT, inc)
+    lo = inc_lo + init_lo
+    hi, lo = _pcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
+    # one C-contiguous row per index: batched samplers sum along the last
+    # axis, and another memory layout would change their summation order
     out = np.empty(idx.shape + (int(k),))
     for t in range(int(k)):
-        state = _mul_add128(state, _PCG_MULT, inc)
-        s0, s1, s2, s3 = state
-        x = ((s3 ^ s1) << 32) | (s2 ^ s0)
-        rot = s3 >> 26
-        x = (x >> rot) | (x << ((64 - rot) & 63))
-        out[..., t] = (x >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
-    return out
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> _SHIFT_58
+        x = (x >> rot) | (x << ((_SHIFT_64 - rot) & _SHIFT_63))
+        out[:, t] = (x >> _SHIFT_11) * (1.0 / 9007199254740992.0)
+    return out.reshape(checked.shape + (int(k),))
 
 
 class RngState:

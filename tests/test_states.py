@@ -2,9 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmono import states
 
@@ -101,9 +104,12 @@ class TestSampling:
         assert np.max(np.abs(a - b)) > 1e-3
 
     def test_batch_is_bitwise_identical_to_singles(self):
-        batch = states.sample_haar_batch(99, 16)
-        singles = np.stack([states.sample_haar(states.RngState(99, i)) for i in range(16)])
-        np.testing.assert_array_equal(batch, singles)
+        # 203 rows pins the layout: from uniforms that are not one C-contiguous
+        # row per index, the batch's norms are summed in another order here
+        for seed in (99, 2**64 - 1):
+            batch = states.sample_haar_batch(seed, 203)
+            singles = np.stack([states.sample_haar(states.RngState(seed, i)) for i in range(203)])
+            np.testing.assert_array_equal(batch.view(np.uint64), singles.view(np.uint64))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_batch_rejects_seeds_like_rng_state(self, seed):
@@ -143,6 +149,26 @@ class TestStreamRebuild:
         got = states.uniforms(seed, STREAM_INDICES, 9)
         want = np.stack([states.RngState(seed, i).uniforms(9) for i in STREAM_INDICES])
         assert got.shape == (len(STREAM_INDICES), 9)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(seed=st.integers(0, 2**64 - 1),
+           indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
+           k=st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_random_seeds_and_indices_equal_rng_state(self, seed, indices, k):
+        # uniform 64-bit words reach the LCG's carries that the fixed grid may miss
+        got = states.uniforms(seed, indices, k)
+        want = np.stack([states.RngState(seed, i).uniforms(k) for i in indices])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("seed", [1, 2**64 - 1])
+    @pytest.mark.parametrize("index", [5, np.uint64(2**64 - 1)])
+    def test_scalar_index_gives_one_stream_without_warnings(self, seed, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = states.uniforms(seed, index, 3)
+        want = states.RngState(seed, int(index)).uniforms(3)
+        assert got.shape == (3,)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_index_arrays_of_any_integer_type(self):
