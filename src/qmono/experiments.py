@@ -9,16 +9,15 @@ say).  A scan table also carries a boolean `feasible` entry: a grid point
 with no state keeps only its index, family and note.  CSV and JSON come
 from one block formatter, `format_rows`, over one fixed schema so all
 outputs stay interchangeable for downstream plotting.  A CSV block is one
-byte matrix whose floats carry the exact digits of '%.17g' (from Dekker's
-TwoProduct where 1e-4 <= |x| < 10); JSON blocks come from %-row templates
-with floats as `json` writes them (%r).  Both round-trip exact for doubles,
-and the tables are re-validated against the report invariants by array
-reductions.
+byte matrix whose floats carry the exact digits of '%.17g' (the `numtext`
+kernel: Dekker's TwoProduct where 1e-4 <= |x| < 10); JSON blocks come from
+%-row templates with floats as `json` writes them (%r).  Both round-trip
+exact for doubles, and the tables are re-validated against the report
+invariants by array reductions.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from . import closed_forms, states, svgplot
 from .inequalities import SATURATION_TOL, _check_tol, classify_gaps, monogamy_table
+from .numtext import float_text, int_text
 from .states import _first_failure
 
 __all__ = [
@@ -303,112 +303,6 @@ def _distinct(col):
     return values, inverse
 
 
-# CSV numbers.  A cell's text is 24 bytes (six uint32 words), NUL wherever it
-# holds no character.  A float x with |x| in [1e-4, 10) or x = +-0 prints in
-# fixed notation from its decade X and the 17-digit integer
-# N = round-half-even(|x| 10^(16-X)).  N is exact: 10^(16-X) is an exact
-# double, Dekker's TwoProduct gives |x| 10^(16-X) = p + e exactly, and
-# p >= 1e16 > 2^53 is an even integer, so N = p + rint(e).  Other floats
-# (NaN, inf, subnormals, |x| >= 10, 0 < |x| < 1e-4) go through '%.17g' %.
-# The decade thresholds are the smallest doubles >= 1e-4, ..., 1, 10: each
-# of these literals rounds up.
-_DECADES = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
-_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
-
-
-@functools.cache
-def _number_tables():
-    """Read-only tables of the CSV number renderer, built on first use.
-
-    tail[g] is the four digit bytes of g < 10^4 read as one uint32, with
-    its trailing zeros made NUL, and lead[g] with its leading zeros made
-    NUL; entry g + 10^4 of each keeps all four, for a group with a nonzero
-    group after it (before it).  head[code, sign, more, d] is a float's
-    first eight bytes: its sign, "0." and the zeros after the point, its
-    first digit d, and the point after d when X = 0 and more digits follow.
-    Then come the scale 10^(16-X) of each code and its Veltkamp halves.
-    """
-    four = np.array([b"%04d" % g for g in range(10_000)]).view(np.uint8).reshape(-1, 4)
-    zeros = four == ord("0")
-    tail, lead = four.copy(), four.copy()
-    tail[np.logical_and.accumulate(zeros[:, ::-1], axis=1)[:, ::-1]] = 0
-    lead[np.logical_and.accumulate(zeros, axis=1)] = 0
-    head = np.zeros((6, 2, 2, 10, 8), dtype=np.uint8)
-    head[:, 1, ..., 0] = ord("-")
-    head[..., 6] = np.arange(ord("0"), ord("9") + 1)
-    head[[0, 5], :, 1, :, 7] = ord(".")
-    for code in range(1, 5):  # X = code - 5 < 0: "0." then -X-1 zeros before d
-        head[code, ..., 1:7 - code] = ord("0")
-        head[code, ..., 2] = ord(".")
-    scale = np.array([1e16, 1e20, 1e19, 1e18, 1e17, 1e16])
-    high = scale * _SPLIT - (scale * _SPLIT - scale)
-    tables = [np.concatenate([tail, four]).view(np.uint32).reshape(-1),
-              np.concatenate([lead, four]).view(np.uint32).reshape(-1),
-              head.view(np.uint64).reshape(-1), scale, high, scale - high]
-    for array in tables:
-        array.setflags(write=False)
-    return tables
-
-
-def _groups(r):
-    """The four-digit groups of 0 <= r < 10^16, most significant first."""
-    hi, lo = (h.astype(np.int32) for h in np.divmod(r, 10**8))
-    return (*np.divmod(hi, 10**4), *np.divmod(lo, 10**4))
-
-
-def _float_text(x):
-    """'%.17g' % v for every v in the float64 array x, as (x.size, 24) NUL-padded bytes."""
-    x = x.reshape(-1)
-    a = np.abs(x)
-    slow = ~(((a >= _DECADES[0]) & (a < _DECADES[-1])) | (a == 0))  # NaN too
-    if slow.all():
-        return _percent_text(x)
-    a[slow] = 0.0  # keeps the arithmetic finite; these slots are overwritten
-    code = np.zeros(x.shape, dtype=np.intp)  # X + 5 on [1e-4, 10); 0 for zeros and slow slots
-    for threshold in _DECADES[:-1]:
-        code += a >= threshold
-    tail, _, head, scale, high, low = _number_tables()
-    p = a * scale[code]
-    big = a * _SPLIT
-    ah = big - (big - a)
-    al = a - ah
-    e = ((ah * high[code] - p) + ah * low[code] + al * high[code]) + al * low[code]
-    first, rest = np.divmod(p.astype(np.int64) + np.rint(e).astype(np.int64), 10**16)
-    words = np.empty((x.size, 6), dtype=np.uint32)
-    more = np.zeros(x.size, dtype=bool)  # a nonzero digit follows
-    for j, g in zip((5, 4, 3, 2), reversed(_groups(rest))):
-        words[:, j] = tail[g + 10_000 * more]
-        more |= g != 0
-    words.view(np.uint64)[:, 0] = head[((code * 2 + np.signbit(x)) * 2 + more) * 10 + first]
-    text = words.view(np.uint8).reshape(x.size, 24)
-    if slow.any():
-        text[slow] = _percent_text(x[slow])
-    return text
-
-
-def _percent_text(x):
-    """'%.17g' % v for every v in x; '%-24.17g' pads it to the slot with spaces, made NULs."""
-    text = np.frombuffer(("%-24.17g" * x.size % tuple(x.tolist())).encode(), dtype=np.uint8)
-    return (text * (text != ord(" "))).reshape(x.size, 24)
-
-
-def _int_text(v):
-    """'%d' % k for every k in the int64 array v, as (v.size, 24) NUL-padded bytes."""
-    lead = _number_tables()[1]
-    v = v.reshape(-1)
-    top, rest = np.divmod(np.abs(v), 10**16)
-    words = np.zeros((v.size, 6), dtype=np.uint32)
-    words[:, 1] = lead[top]
-    before = top != 0  # a nonzero digit precedes
-    for j, g in zip((2, 3, 4, 5), _groups(rest)):
-        words[:, j] = lead[g + 10_000 * before]
-        before |= g != 0
-    text = words.view(np.uint8).reshape(v.size, 24)
-    text[:, 0] = np.where(v < 0, ord("-"), 0)
-    text[~before, 23] = ord("0")
-    return text
-
-
 def _csv_blocks(table, columns):
     """CSV text: the header line, then one str per block of rows.
 
@@ -419,7 +313,7 @@ def _csv_blocks(table, columns):
     n, feasible = _length(table), _feasible(table)
     kinds = {c: table[c].dtype.kind for c in columns if c in table}
     numbers = [([c for c in kinds if kinds[c] == k], dtype, render)
-               for k, dtype, render in (("f", np.float64, _float_text), ("i", np.int64, _int_text))]
+               for k, dtype, render in (("f", np.float64, float_text), ("i", np.int64, int_text))]
     strings = {}
     for c in [c for c in kinds if kinds[c] not in "fi"]:
         values, inverse = _distinct(table[c])

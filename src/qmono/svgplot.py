@@ -2,8 +2,11 @@
 
 The CSV files are the data contract; these plots exist only to eyeball
 the orderings between the curves.  Output is plain well-formed XML.
-A series comes in as float64 arrays; its pixel coordinates are computed
-as whole-array expressions and written with one `%` template per series.
+A series comes in as float64 arrays of finite values.  Its pixel
+coordinates are whole-array expressions, and it is written as one uint8
+matrix with a row per point: the row's constant bytes plus an x and a y
+slot, filled with the exact '%.2f' digits of `numtext.fixed2_text` and
+made text by deleting the NUL padding, as a CSV block is.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ from __future__ import annotations
 from xml.sax.saxutils import escape
 
 import numpy as np
+
+from .numtext import fixed2_text
 
 __all__ = ["Series", "render_svg"]
 
@@ -32,6 +37,8 @@ class Series:
         if kind not in ("scatter", "line"):
             raise ValueError(f"kind must be scatter or line, got {kind!r}")
         self.name = str(name)
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError(f"series {self.name!r} holds a non-finite value")
         self.xs = xs
         self.ys = ys
         self.kind = kind
@@ -53,6 +60,23 @@ def _bounds(series):
     if y1 == y0:
         y1 = y0 + 1.0
     return x0, x1, y0, y1
+
+
+def _point_rows(px, py, before, between, after):
+    """before + '%.2f' % x + between + '%.2f' % y + after for each point, joined.
+
+    One uint8 matrix with a row per point: the constant bytes and a
+    NUL-padded slot per coordinate, made text by deleting the NULs.
+    """
+    text = fixed2_text(np.concatenate((px, py)))
+    n, w = len(px), text.shape[1]
+    x_at = len(before)
+    y_at = x_at + w + len(between)
+    rows = np.empty((n, y_at + w + len(after)), dtype=np.uint8)
+    rows[:] = np.frombuffer((before + "\0" * w + between + "\0" * w + after).encode(), dtype=np.uint8)
+    rows[:, x_at:x_at + w] = text[:n]
+    rows[:, y_at:y_at + w] = text[n:]
+    return rows.tobytes().translate(None, b"\0").decode()
 
 
 def render_svg(path, title, xlabel, ylabel, series) -> None:
@@ -90,16 +114,15 @@ def render_svg(path, title, xlabel, ylabel, series) -> None:
     for k, s in enumerate(series):
         color = _COLORS[k % len(_COLORS)]
         # the per-point formulas in their operation order, so each double is
-        # the one a scalar evaluation gives; '%.2f' % x is f"{x:.2f}" byte for byte
+        # the one a scalar evaluation gives
         px = _MARGIN_L + (s.xs - x0) / (x1 - x0) * pw
         py = _MARGIN_T + ph - (s.ys - y0) / (y1 - y0) * ph
-        coords = tuple(np.column_stack((px, py)).ravel().tolist())
         if s.kind == "line":
-            pts = " ".join(["%.2f,%.2f"] * len(s.xs)) % coords
+            pts = _point_rows(px, py, "", ",", " ")[:-1]
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        elif coords:
-            circle = f'<circle cx="%.2f" cy="%.2f" r="2.5" fill="{color}"/>'
-            parts.append("\n".join([circle] * len(s.xs)) % coords)
+        elif len(px):
+            parts.append(_point_rows(px, py, '<circle cx="', '" cy="',
+                                     f'" r="2.5" fill="{color}"/>\n')[:-1])
         ly = _MARGIN_T + 16 + 16 * k
         parts.append(f'<rect x="{_MARGIN_L + pw - 150}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
         parts.append(f'<text x="{_MARGIN_L + pw - 135}" y="{ly}" font-size="12">{escape(s.name)}</text>')

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qmono import experiments, states
+from qmono import experiments, numtext, states
 from qmono.inequalities import classify_gaps, monogamy_table
 
 
@@ -572,7 +572,7 @@ class TestCsvNumbers:
     range [1e-4, 10) and +-0 and on the '%' route for everything else."""
 
     def test_decade_thresholds_are_the_rounded_up_powers(self):
-        for k, t in zip(range(-4, 2), experiments._DECADES):
+        for k, t in zip(range(-4, 2), numtext._DECADES):
             assert Fraction(t) >= Fraction(10) ** k > Fraction(np.nextafter(t, 0.0))
 
     def test_log_uniform_values(self):

@@ -81,6 +81,11 @@ def test_series_validation():
         svgplot.Series("x", [1], [1], kind="bars")
     with pytest.raises(ValueError, match="one-dimensional"):
         svgplot.Series("x", [[1, 2]], [[1, 2]])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="'s' holds a non-finite value"):
+            svgplot.Series("s", [0, 1, 2], [0.5, bad, 0.25])
+        with pytest.raises(ValueError, match="'s' holds a non-finite value"):
+            svgplot.Series("s", [0, bad, 2], [0.5, 1.0, 0.25], kind="line")
 
 
 def test_scatter_and_line_elements(tmp_path):
@@ -160,6 +165,20 @@ class TestReferenceBytes:
         # min() and max() keep the first of 0.0 and -0.0, np.min and np.max
         # need not (they give -0.0 on [0.0, -0.0] * 50); the tick labels show which
         assert_same_bytes(tmp_path, "t", "x", "y", [("zeros", values, values[::-1], kind)])
+
+    def test_exact_ties_in_pixel_coordinates(self, tmp_path):
+        # on the range [0, 4], x = 0.01 and 0.03 put px exactly on 71.375 and
+        # 74.125, which '%.2f' rounds to the even digit: 71.38 and 74.12
+        values = [0.0, 0.01, 0.03, 4.0]
+        np.testing.assert_array_equal(70 + (np.array(values) - 0.0) / 4.0 * 550,
+                                      [70.0, 71.375, 74.125, 620.0])
+        assert_same_bytes(tmp_path, "t", "x", "y", [("dots", values, values, "scatter"),
+                                                    ("line", values, values, "line")])
+
+    def test_figure_at_workload_size(self, tmp_path):
+        _, _, series, title, xlabel = experiments.run_figure(1, seed=0, n=3000)
+        assert_same_bytes(tmp_path, title, xlabel, "squared concurrence",
+                          [(s.name, s.xs, s.ys, s.kind) for s in series])
 
     @pytest.mark.parametrize("which", [1, 2, 3, 4])
     def test_figures(self, tmp_path, which):
