@@ -43,8 +43,7 @@ def _print_report(report, label: str, fmt: str, family: str) -> None:
     d = {**vars(report), "class": label, "saturated_tight": label == "saturated"}
     order = ["pivot", "c2_ab", "c2_ac", "c2_abc", "tau",
              "rhs_fei", "rhs_tight", "gap_fei", "gap_tight", "class"]
-    for key in order:
-        print(f"{key:<12}: {experiments.format_number(d[key])}")
+    sys.stdout.write("".join(f"{key:<12}: {experiments.format_number(d[key])}\n" for key in order))
     if fmt == "csv":
         row = {**d, "index": 0, "family": family}
         table = {k: np.array([v]) for k, v in row.items() if k in experiments.CSV_COLUMNS}

@@ -53,6 +53,8 @@ __all__ = [
 
 # Default absolute tolerance on the gap for saturation / violation calls.
 SATURATION_TOL = 1e-9
+# classify_gaps labels, indexed by (|g| <= tol) + 2 (g < -tol); NaN is strict
+_GAP_LABELS = np.array(["strict", "saturated", "violated"])
 
 
 @dataclass(frozen=True)
@@ -97,11 +99,8 @@ def classify_gaps(gap_tight, tol: float = SATURATION_TOL):
     """Vectorized {saturated, strict, violated} labels for tight gaps."""
     _check_tol(tol)
     gap_tight = np.asarray(gap_tight, dtype=np.float64)
-    return np.select(
-        [np.abs(gap_tight) <= tol, gap_tight < -tol],
-        ["saturated", "violated"],
-        default="strict",
-    )
+    # tol > 0, so at most one term is set; `...` keeps a 0-d gap's label an array
+    return _GAP_LABELS[(np.abs(gap_tight) <= tol) + 2 * (gap_tight < -tol), ...]
 
 
 def classify(report: MonogamyReport, tol: float = SATURATION_TOL) -> str:
@@ -123,19 +122,17 @@ def monogamy_table(psis, pivot: str = "A") -> dict:
     order), *_ac to the second partner.
     """
     t_ab, t_ac, raw_tau = pure_state_invariants(psis, pivot)
-    raw_c2_ab = t_ab - raw_tau / 2.0
-    raw_c2_ac = t_ac - raw_tau / 2.0
+    half_tau = raw_tau / 2.0
+    raw_c2_ab = t_ab - half_tau
+    raw_c2_ac = t_ac - half_tau
     raw_c2_abc = t_ab + t_ac
-    c2_ab = np.clip(raw_c2_ab, 0.0, 1.0)
-    c2_ac = np.clip(raw_c2_ac, 0.0, 1.0)
-    c2_abc = np.clip(raw_c2_abc, 0.0, 1.0)
-    tau = np.clip(raw_tau, 0.0, 1.0)
+    c2_ab, c2_ac, c2_abc, tau = np.array([raw_c2_ab, raw_c2_ac, raw_c2_abc, raw_tau]).clip(0.0, 1.0)
     rhs_f = fei_rhs_values(c2_ab, c2_ac, tau)
     # (C^2_X(YZ))^2 - rhs_fei^2 as a sum of non-negative terms; numerator
     # and denominator are 0 only together (a product state), gap 0.
     fei_num = (t_ab - t_ac) ** 2 + 2.0 * tau * (c2_ab + c2_ac)
     fei_den = c2_abc + rhs_f
-    gap_f = np.divide(fei_num, fei_den, out=np.zeros_like(fei_num), where=fei_den > 0.0)
+    gap_f = np.divide(fei_num, fei_den, out=np.zeros(fei_num.shape), where=fei_den > 0.0)
     return {
         "c2_ab": c2_ab,
         "c2_ac": c2_ac,

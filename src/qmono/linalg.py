@@ -55,10 +55,10 @@ def state_tensor(psi):
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.shape[-1] != 8:
         raise ValueError(f"state must have 8 amplitudes, got {psi.shape[-1]}")
-    if not np.all(np.isfinite(psi)):
+    if not np.isfinite(psi).all():
         raise ValueError("state contains non-finite amplitudes")
-    norm2 = np.sum(np.abs(psi) ** 2, axis=-1)
-    if np.any(np.abs(np.sqrt(norm2) - 1.0) > NORM_TOL):
+    norm2 = (np.abs(psi) ** 2).sum(axis=-1)
+    if (np.abs(np.sqrt(norm2) - 1.0) > NORM_TOL).any():
         raise ValueError("state is not normalized within tolerance")
     return psi.reshape(psi.shape[:-1] + (2, 2, 2)), norm2
 

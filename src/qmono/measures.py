@@ -8,6 +8,11 @@ sum_k m_k m_k^dag / <psi|psi>, and let
 
     G_kl = m_k^T (sigma_y x sigma_y) m_l      (a symmetric 2x2 matrix).
 
+The eight amplitudes of m_0 and m_1 are views of the flat state, read
+through a basis-index table built at import (_PAIR_INDEX: for each traced
+qubit, the indices of the amplitude tensor with that axis moved last), so
+one state costs a handful of numpy calls per traced qubit.
+
 * T_XY = Tr(rho_XY rho_tilde_XY) = sum_kl |G_kl|^2 / <psi|psi>^2, a sum of
   squared moduli, so never negative.
 * det G is minus Cayley's hyperdeterminant of the amplitude tensor, so the
@@ -72,6 +77,11 @@ __all__ = [
 
 # Inputs with an eigenvalue below -PSD_TOL are rejected as not PSD.
 PSD_TOL = 1e-10
+
+# _PAIR_INDEX[q]: the basis indices of the amplitudes (m_k)_ij, traced qubit
+# q at k and the kept qubits at i, j in label order, listed in (i, j, k) order.
+_PAIR_INDEX = tuple(tuple(np.moveaxis(np.arange(8).reshape(2, 2, 2), q, -1).ravel().tolist())
+                    for q in range(3))
 
 # Eigenvalues of rho at or below RANK_CUT * w_max are roundoff of rho
 # itself and are dropped from its factor X: a cut relative to rho's own
@@ -162,21 +172,19 @@ def pivot_pairs(pivot):
     return (pivot, rest[0]), (pivot, rest[1])
 
 
-def _flip_form(t, traced):
-    """(G_00, G_01, G_11) of the pair left after tracing qubit axis `traced`.
+def _flip_form(psi, traced):
+    """(G_00, G_01, G_11) of the pair left after tracing qubit `traced`.
 
     G_kl = m_k^T (sigma_y x sigma_y) m_l, with m_k the pair amplitudes at
     value k of the traced qubit read as a 2x2 matrix; G_kk = -2 det m_k.
     The form is symmetric in the two kept qubits, so their order is moot.
+    u_ij = (m_0)_ij and v_ij = (m_1)_ij are views of the flat states psi
+    (..., 8), taken through _PAIR_INDEX.
     """
-    a = np.moveaxis(t, t.ndim - 3 + traced, -1)
-    m0, m1 = a[..., 0], a[..., 1]
-
-    def form(u, v):
-        return (u[..., 0, 1] * v[..., 1, 0] + u[..., 1, 0] * v[..., 0, 1]
-                - u[..., 0, 0] * v[..., 1, 1] - u[..., 1, 1] * v[..., 0, 0])
-
-    return form(m0, m0), form(m0, m1), form(m1, m1)
+    u00, v00, u01, v01, u10, v10, u11, v11 = (psi[..., k] for k in _PAIR_INDEX[traced])
+    return (u01 * u10 + u10 * u01 - u00 * u11 - u11 * u00,
+            u01 * v10 + u10 * v01 - u00 * v11 - u11 * v00,
+            v01 * v10 + v10 * v01 - v00 * v11 - v11 * v00)
 
 
 def _abs2(z):
@@ -193,10 +201,11 @@ def pure_state_invariants(psi, pivot="A"):
     T_XY + T_XZ.
     """
     pair1, pair2 = pivot_pairs(pivot)
-    t, norm2 = state_tensor(psi)
+    psi = np.asarray(psi, dtype=np.complex128)
+    norm2 = state_tensor(psi)[1]
     norm4 = norm2 * norm2
     # the pair (X, Y) traces out Z and the pair (X, Z) traces out Y
-    forms = {q: _flip_form(t, QUBIT_POSITION[q]) for q in {pair1[1], pair2[1], "C"}}
+    forms = {q: _flip_form(psi, QUBIT_POSITION[q]) for q in {pair1[1], pair2[1], "C"}}
     g00, g01, g11 = forms["C"]
     tau = 4.0 * np.abs(g01 * g01 - g00 * g11) / norm4
 

@@ -140,15 +140,24 @@ def float_text(x):
 
 
 def int_text(v):
-    """'%d' % k for every k in the int64 array v, as (v.size, 24) NUL-padded bytes."""
+    """'%d' % k for every k in the int64 array v, as (v.size, 24) NUL-padded bytes.
+
+    The digits come from the uint64 magnitude: np.abs wraps -2^63 to
+    itself, whose uint64 view is 2^63.  Only the four-digit groups of the
+    largest magnitude are built, the rest of the slot stays NUL.
+    """
     lead = _number_tables()[1]
     v = v.reshape(-1)
-    top, rest = np.divmod(np.abs(v), 10**16)
+    m = np.abs(v).view(np.uint64)
+    groups = []  # least significant first
+    for _ in range((len(str(m.max())) - 1) // 4 if v.size else 0):
+        m, g = np.divmod(m, np.uint64(10_000))
+        groups.append(g)
+    groups.append(m)
     words = np.zeros((v.size, 6), dtype=np.uint32)
-    words[:, 1] = lead[top]
-    before = top != 0  # a nonzero digit precedes
-    for j, g in zip((2, 3, 4, 5), _groups(rest)):
-        words[:, j] = lead[g + 10_000 * before]
+    before = np.zeros(v.size, dtype=bool)  # a nonzero digit precedes
+    for j, g in zip(range(6 - len(groups), 6), reversed(groups)):
+        words[:, j] = lead[g + np.uint64(10_000) * before]
         before |= g != 0
     text = words.view(np.uint8).reshape(v.size, 24)
     text[:, 0] = np.where(v < 0, ord("-"), 0)

@@ -13,6 +13,7 @@ Two parameter conventions coexist and are kept deliberately distinct:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import NamedTuple
@@ -257,11 +258,12 @@ def _first_failure(checks):
     row index.  The message is that of the row's first failed check, so a
     batch reports what checking its rows one by one would have reported.
     """
-    masks = np.broadcast_arrays(*(mask for mask, _ in checks))
-    bad = np.logical_or.reduce(masks).reshape(-1)
+    masks = [mask for mask, _ in checks]
+    bad = functools.reduce(np.logical_or, masks)
     if not bad.any():
         return None
-    row = int(np.argmax(bad))
+    masks = np.broadcast_arrays(*masks)
+    row = int(np.argmax(bad.reshape(-1)))
     return row, next(msg(row) for mask, (_, msg) in zip(masks, checks) if mask.reshape(-1)[row])
 
 

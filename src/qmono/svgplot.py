@@ -11,6 +11,7 @@ made text by deleting the NUL padding, as a CSV block is.
 
 from __future__ import annotations
 
+import math
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -55,11 +56,23 @@ def _bounds(series):
         return 0.0, 1.0, 0.0, 1.0
     x0, x1 = _extremes(np.concatenate([s.xs for s in series]))
     y0, y1 = _extremes(np.concatenate([s.ys for s in series]))
+    # a single value is widened by 1.0, or by an ulp where adding 1.0 would not move it
     if x1 == x0:
-        x1 = x0 + 1.0
+        x1 = x0 + max(1.0, math.ulp(x0))
     if y1 == y0:
-        y1 = y0 + 1.0
+        y1 = y0 + max(1.0, math.ulp(y0))
     return x0, x1, y0, y1
+
+
+def _unit(values, lo, hi):
+    """(values - lo) / (hi - lo), each value's place in the range [lo, hi].
+
+    Where hi - lo overflows, every term is halved first, so no difference
+    overflows; halving is exact but for subnormals, which vanish at this scale.
+    """
+    if hi - lo == math.inf:
+        values, lo, hi = values / 2.0, lo / 2.0, hi / 2.0
+    return (values - lo) / (hi - lo)
 
 
 def _point_rows(px, py, before, between, after):
@@ -115,8 +128,8 @@ def render_svg(path, title, xlabel, ylabel, series) -> None:
         color = _COLORS[k % len(_COLORS)]
         # the per-point formulas in their operation order, so each double is
         # the one a scalar evaluation gives
-        px = _MARGIN_L + (s.xs - x0) / (x1 - x0) * pw
-        py = _MARGIN_T + ph - (s.ys - y0) / (y1 - y0) * ph
+        px = _MARGIN_L + _unit(s.xs, x0, x1) * pw
+        py = _MARGIN_T + ph - _unit(s.ys, y0, y1) * ph
         if s.kind == "line":
             pts = _point_rows(px, py, "", ",", " ")[:-1]
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')

@@ -106,6 +106,71 @@ class TestTableAndReport:
             inequalities.monogamy_table(random_pure_state(rng, 8, batch=(2,)), "X")
 
 
+REPORT_FIELDS = ("c2_ab", "c2_ac", "c2_abc", "tau", "rhs_fei", "rhs_tight", "gap_fei", "gap_tight")
+STATE_KINDS = ("haar", "canonical-a", "canonical-a theta=0", "canonical-b", "canonical-b theta=0",
+               "bell p1=0", "bell p1=2/3", "bell p1=1", "ghz", "w", "product")
+
+
+def state_of_kind(kind, rng):
+    """One normalized state of a named kind, drawn from rng where it is random."""
+    if kind == "haar":
+        return random_pure_state(rng, 8)
+    if kind.startswith("canonical"):
+        p = rng.uniform(0.0, 1.0, 5)
+        make = states.make_canonical_a if kind.startswith("canonical-a") else states.make_canonical_b
+        return make(p / math.sqrt(p @ p), 0.0 if kind.endswith("=0") else rng.uniform(0.0, math.pi))
+    if kind.startswith("bell"):
+        return states.make_bell_product({"bell p1=0": 0.0, "bell p1=2/3": 2.0 / 3.0, "bell p1=1": 1.0}[kind])
+    if kind in ("ghz", "w"):
+        return states.make_ghz() if kind == "ghz" else states.make_w()
+    a, b, c = random_pure_state(rng, 2, batch=(3,))
+    return np.kron(np.kron(a, b), c)
+
+
+def select_labels(gap_tight, tol):
+    """The np.select form of classify_gaps, kept as its reference."""
+    g = np.asarray(gap_tight, dtype=np.float64)
+    return np.select([np.abs(g) <= tol, g < -tol], ["saturated", "violated"], default="strict")
+
+
+class TestOneRoute:
+    """build_report is one row of monogamy_table, and classify_gaps is the
+    np.select labelling, both bit for bit."""
+
+    @pytest.mark.parametrize("pivot", ["A", "B", "C"])
+    @given(kinds=st.lists(st.sampled_from(STATE_KINDS), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_report_is_a_table_row_bit_for_bit(self, pivot, kinds, seed):
+        rng = np.random.default_rng(seed)
+        psis = np.array([state_of_kind(kind, rng) for kind in kinds])
+        table = inequalities.monogamy_table(psis, pivot)
+        for i, psi in enumerate(psis):
+            r = inequalities.build_report(psi, pivot)
+            assert r.pivot == pivot
+            for key in REPORT_FIELDS:
+                assert getattr(r, key).hex() == float(table[key][i]).hex(), (kinds[i], key)
+            raw = {k: float(table["raw_" + k][i]) for k in ("c2_ab", "c2_ac", "c2_abc", "tau")}
+            want = {"c_ab": math.copysign(math.sqrt(abs(raw["c2_ab"])), raw["c2_ab"]),
+                    "c_ac": math.copysign(math.sqrt(abs(raw["c2_ac"])), raw["c2_ac"]),
+                    "c2_abc": raw["c2_abc"], "tau": raw["tau"]}
+            assert {k: v.hex() for k, v in r.raw_unclamped.items()} == {k: v.hex() for k, v in want.items()}
+
+    @given(gaps=st.lists(st.floats(), max_size=20), tol=st.floats(1e-300, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_classify_gaps_is_the_select_labelling(self, gaps, tol):
+        edges = [tol, -tol, np.nextafter(tol, np.inf), np.nextafter(-tol, -np.inf), 0.0, -0.0, np.nan]
+        g = np.array(gaps + edges)
+        got, want = inequalities.classify_gaps(g, tol), select_labels(g, tol)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+        for x in g[-len(edges):]:
+            for scalar in (x, float(x), np.array(x)):
+                got = inequalities.classify_gaps(scalar, tol)
+                assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == want.dtype
+                assert got == select_labels(x, tol)
+
+
 class TestProperties:
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)

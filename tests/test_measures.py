@@ -237,6 +237,18 @@ class TestTangle:
         with pytest.raises(ValueError):
             measures.pivot_pairs("Q")
 
+    @pytest.mark.parametrize("traced", [0, 1, 2])
+    def test_pair_index_reads_the_tensor_with_the_traced_axis_last(self, rng, traced):
+        # the amplitude tensor of state_tensor, axis `traced` moved last, flattened
+        psi = random_pure_state(rng, 8)
+        want = np.moveaxis(psi.reshape(2, 2, 2), traced, -1).reshape(-1)
+        assert np.array_equal(psi[list(measures._PAIR_INDEX[traced])], want)
+        # the same positions from the bits of |abc> = 4a + 2b + c
+        kept = [q for q in range(3) if q != traced]
+        bits = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+        assert measures._PAIR_INDEX[traced] == tuple(
+            (i << (2 - kept[0])) | (j << (2 - kept[1])) | (k << (2 - traced)) for i, j, k in bits)
+
     @pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
     def test_lambda_route_resolves_small_tangle(self, eps):
         # W + eps GHZ has tau ~ 2.2 eps; no floor reads it as 0 on any pair

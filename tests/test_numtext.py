@@ -1,14 +1,67 @@
-"""The '%.2f' byte kernel against Python's '%' formatting, byte for byte.
+"""The byte kernels against Python's '%' formatting, byte for byte:
+'%.17g' (float_text), '%d' (int_text) and '%.2f' (fixed2_text)."""
 
-The '%.17g' and '%d' kernels are checked through the CSV writer in
-test_experiments.py."""
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmono.numtext import fixed2_text
+from qmono.numtext import _DECADES, fixed2_text, float_text, int_text
+
+# every double, drawn by its bit pattern: subnormals, NaNs and infinities too
+ANY_DOUBLE = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+def lines(text):
+    """The str of each NUL-padded row of a kernel's byte matrix."""
+    return [bytes(row).replace(b"\0", b"").decode() for row in text]
+
+
+def assert_percent_17g(values):
+    x = np.asarray(values, dtype=np.float64)
+    text = float_text(x)
+    assert text.shape == (x.size, 24) and lines(text) == ["%.17g" % v for v in x.tolist()]
+
+
+def assert_percent_d(values):
+    text = int_text(np.asarray(values, dtype=np.int64))
+    assert text.shape == (len(values), 24) and lines(text) == ["%d" % k for k in values]
+
+
+@given(st.lists(st.one_of(ANY_DOUBLE, st.floats()), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_float_text_is_percent_17g(values):
+    assert_percent_17g(values)
+
+
+def test_float_text_at_the_decade_thresholds_and_special_values():
+    edges = [v for d in _DECADES for v in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf))]
+    edges += [0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308,
+              1.7976931348623157e308, np.inf, np.nan]
+    assert_percent_17g(edges + [-v for v in edges])
+
+
+@given(st.lists(INT64, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_int_text_is_percent_d(values):
+    assert_percent_d(values)
+
+
+@pytest.mark.parametrize("values", [
+    [0], [-1, 0, 1], [9999, 10_000, -10_000], [10**8 - 1, 10**8], [10**16 - 1, -10**16],
+    [2**63 - 1, -(2**63 - 1)],
+    [-2**63],  # its magnitude is not an int64
+    [-2**63, 0, 7],
+])
+def test_int_text_edges(values):
+    assert_percent_d(values)
+
+
+def test_int_text_empty():
+    assert int_text(np.array([], dtype=np.int64)).shape == (0, 24)
 
 
 def fixed2_lines(values):
@@ -16,7 +69,7 @@ def fixed2_lines(values):
     x = np.asarray(values, dtype=np.float64)
     text = fixed2_text(x)
     assert text.shape[0] == x.size and text.shape[1] >= 8
-    return [bytes(row).replace(b"\0", b"").decode() for row in text]
+    return lines(text)
 
 
 def assert_percent_2f(values):

@@ -115,6 +115,20 @@ def test_degenerate_ranges_still_render(tmp_path):
     ET.parse(path)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("xs,cx", [
+    ([1e20, 1e20], ["70.00", "70.00"]),  # 1e20 + 1.0 == 1e20: widened by an ulp
+    ([-1e308, 1e308], ["70.00", "620.00"]),  # the span overflows a double
+])
+def test_extreme_x_ranges_give_finite_pixels(tmp_path, xs, cx):
+    path = tmp_path / "plot.svg"
+    svgplot.render_svg(path, "t", "x", "y", [svgplot.Series("dots", xs, [0.0, 1.0]),
+                                              svgplot.Series("curve", xs, [0.0, 1.0], "line")])
+    root = ET.parse(path).getroot()
+    assert [c.get("cx") for c in root.findall(".//s:circle", NS)] == cx
+    assert root.find(".//s:polyline", NS).get("points") == f"{cx[0]},430.00 {cx[1]},40.00"
+
+
 def test_empty_series_list(tmp_path):
     path = tmp_path / "plot.svg"
     svgplot.render_svg(path, "t", "x", "y", [])
