@@ -8,12 +8,14 @@ lacks is written empty in every row (the parameters of a Haar ensemble,
 say).  A scan table also carries a boolean `feasible` entry: a grid point
 with no state keeps only its index, family and note.  CSV and JSON come
 from one block formatter, `format_rows`, over one fixed schema so all
-outputs stay interchangeable for downstream plotting.  A CSV block is one
-byte matrix whose floats carry the exact digits of '%.17g' (the `numtext`
-kernel: Dekker's TwoProduct where 1e-4 <= |x| < 10); JSON blocks come from
-%-row templates with floats as `json` writes them (%r).  Both round-trip
-exact for doubles, and the tables are re-validated against the report
-invariants by array reductions.
+outputs stay interchangeable for downstream plotting.  A format is data
+(`_FORMATS`): the text around rows and cells, string quoting, the float
+slot renderer and the empty cell.  Every block is one `numtext.byte_rows`
+call over slot matrices: CSV floats carry the exact digits of '%.17g' (the
+`numtext` kernel: Dekker's TwoProduct where 1e-4 <= |x| < 10), JSON floats
+are each double's repr, as `json` writes them.  Both round-trip exact for
+doubles, and the tables are re-validated against the report invariants by
+array reductions.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import closed_forms, states, svgplot
 from .inequalities import SATURATION_TOL, _check_tol, classify_gaps, monogamy_table
-from .numtext import float_text, int_text
+from .numtext import _percent_text, byte_rows, float_text, int_text
 from .states import _first_failure
 
 __all__ = [
@@ -169,7 +171,8 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
         raise ValueError(f"scan supports bell-product and canonical families, got {family!r}")
     if steps < 2:
         raise ValueError("steps must be at least 2")
-    for name, bound in (("from", lo), ("to", hi)):
+    # the grid steps by (to - from) / (steps - 1), so that span must be finite too
+    for name, bound in (("from", lo), ("to", hi), ("to - from", float(hi) - float(lo))):
         if not np.isfinite(bound):
             raise ValueError(f"scan bound {name} = {float(bound)!r} is not finite")
     _check_tol(tolerance)
@@ -303,90 +306,68 @@ def _distinct(col):
     return values, inverse
 
 
-def _csv_blocks(table, columns):
-    """CSV text: the header line, then one str per block of rows.
+# A format as data: header(columns), the separator between two rows,
+# prefixes(columns) (the text before each cell of a row), the row end, the
+# closing text, a string cell's quoting, the float slot renderer and the
+# empty cell.  A finite double's repr, which json writes, fits 24 bytes.
+_FORMATS = {
+    "csv": (lambda columns: ",".join(map(_csv_field, columns)) + "\n", "",
+            lambda columns: [""] + [","] * (len(columns) - 1), "\n", "",
+            _csv_field, float_text, ""),
+    "json": (lambda columns: "[", ",",
+             lambda columns: [("\n {\n" if j == 0 else ",\n") + f"  {json.dumps(c)}: "
+                              for j, c in enumerate(columns)],
+             "\n }", "\n]\n", json.dumps, lambda x: _percent_text(x.reshape(-1), "r", 24), '""'),
+}
 
-    A block is one uint8 matrix, a fixed-width slot per cell followed by
-    its separator, turned into text by deleting the NULs.  An infeasible
-    row's cells outside _INFEASIBLE_KEEPS are zeroed in the matrix.
+
+def _blocks(table, columns, form):
+    """The header, one str per block of rows, then the closing text.
+
+    Blocks hold at most WRITE_BLOCK_ROWS rows and split where `feasible`
+    changes; a block of infeasible rows writes the empty cell outside
+    _INFEASIBLE_KEEPS.  Numbers fill slots by kind, one renderer call per
+    kind and block; a string column is quoted once per distinct value.
     """
+    header, separator, prefixes, row_end, closing, quote, floats, empty = form
     n, feasible = _length(table), _feasible(table)
     kinds = {c: table[c].dtype.kind for c in columns if c in table}
-    numbers = [([c for c in kinds if kinds[c] == k], dtype, render)
-               for k, dtype, render in (("f", np.float64, float_text), ("i", np.int64, int_text))]
     strings = {}
     for c in [c for c in kinds if kinds[c] not in "fi"]:
         values, inverse = _distinct(table[c])
-        quoted = np.array([_csv_field(v).encode() for v in values], dtype=bytes)
+        quoted = np.array([quote(v).encode() for v in values], dtype=bytes)
         strings[c] = (quoted.view(np.uint8).reshape(len(values), quoted.itemsize), inverse)
-    widths = np.array([strings[c][0].shape[1] if c in strings else 24 if c in kinds else 0
-                       for c in columns], dtype=np.intp)
-    ends = np.cumsum(widths + 1) - 1  # each cell's separator
-    template = np.zeros(max(len(columns), 1) + widths.sum(), dtype=np.uint8)
-    template[ends] = ord(",")
-    template[-1] = ord("\n")
-    slots = {c: slice(e - w, e) for c, e, w in zip(columns, ends, widths)}
-    keep = np.full(template.size, 255, dtype=np.uint8)  # the bytes an infeasible row keeps
-    for c in set(columns) - set(_INFEASIBLE_KEEPS):
-        keep[slots[c]] = 0
-    yield ",".join(map(_csv_field, columns)) + "\n"
-    for a in range(0, n, WRITE_BLOCK_ROWS):
-        b = min(a + WRITE_BLOCK_ROWS, n)
-        block = np.empty((b - a, template.size), dtype=np.uint8)
-        block[:] = template
-        for names, dtype, render in numbers:
-            if names:
-                cells = np.stack([table[c][a:b] for c in names]).astype(dtype, copy=False)
-                text = render(cells).reshape(len(names), b - a, 24)
-                for j, c in enumerate(names):
-                    block[:, slots[c]] = text[j]
-        for c, (quoted, inverse) in strings.items():
-            block[:, slots[c]] = quoted[inverse[a:b]]
-        void = ~feasible[a:b]
-        if void.any():
-            block[void] &= keep
-        yield block.tobytes().translate(None, b"\0").decode()
-
-
-def _json_blocks(table, columns):
-    """JSON text: "[", blocks of rows from one %-template per block, then "]".
-
-    Floats are %r, which is what json writes for a finite float; strings
-    are quoted by json.dumps once per distinct value; an infeasible row
-    writes "" outside _INFEASIBLE_KEEPS.
-    """
-    n, feasible = _length(table), _feasible(table)
-    cells = {c: np.asarray(table[c]) for c in columns if c in table}
-    for c, col in cells.items():
-        if col.dtype.kind not in "iuf":
-            values, inverse = _distinct(col)
-            cells[c] = np.array([json.dumps(v) for v in values], dtype=object)[inverse]
     changes = (np.flatnonzero(feasible[1:] != feasible[:-1]) + 1).tolist()
     starts = sorted(set(range(0, n, WRITE_BLOCK_ROWS)).union(changes))
-    yield "["
+    before = prefixes(columns)
+
+    def parts(a, b):
+        """The strs and slot matrices of rows a..b: no slot outlives its block."""
+        written = [c for c in kinds if feasible[a] or c in _INFEASIBLE_KEEPS]
+        slots = {c: strings[c][0][strings[c][1][a:b]] for c in written if c in strings}
+        for kind, dtype, render in (("f", np.float64, floats), ("i", np.int64, int_text)):
+            names = [c for c in written if kinds[c] == kind]
+            if names:
+                cells = np.stack([table[c][a:b] for c in names]).astype(dtype, copy=False)
+                slots.update(zip(names, render(cells).reshape(len(names), b - a, -1)))
+        row = [separator]
+        for prefix, c in zip(before, columns):
+            row += [prefix, slots.get(c, empty)]
+        return row + [row_end]
+
+    yield header(columns)
     for a, b in zip(starts, starts[1:] + [n]):
-        written = [c for c in cells if feasible[a] or c in _INFEASIBLE_KEEPS]
-        fields = ['""' if c not in written else "%d" if cells[c].dtype.kind in "iu"
-                  else "%r" if cells[c].dtype.kind == "f" else "%s" for c in columns]
-        template = "\n {\n" + ",\n".join(f"  {json.dumps(c)}: {f}"
-                                         for c, f in zip(columns, fields)) + "\n }"
-        block = np.empty((b - a, len(written)), dtype=object)
-        for j, c in enumerate(written):
-            block[:, j] = cells[c][a:b]
-        text = ",".join([template] * (b - a)) % tuple(block.reshape(-1).tolist())
-        yield "," + text if a else text
-    yield "\n]\n"
+        yield byte_rows(b - a, parts(a, b))[0 if a else len(separator):]
+    yield closing
 
 
 def format_rows(table, columns, fmt):
     """The text of a table in `fmt` ("csv" or "json"), as str blocks of at
     most WRITE_BLOCK_ROWS rows between the header line (or "[") and the
     closing text.  An unknown `fmt` raises ValueError at the call."""
-    if fmt == "csv":
-        return _csv_blocks(table, columns)
-    if fmt == "json":
-        return _json_blocks(table, columns)
-    raise ValueError(f"format must be csv or json, got {fmt!r}")
+    if fmt not in _FORMATS:
+        raise ValueError(f"format must be csv or json, got {fmt!r}")
+    return _blocks(table, columns, _FORMATS[fmt])
 
 
 def write_rows(path, table, columns, fmt="csv"):

@@ -1,12 +1,13 @@
-"""Exact decimal text of float64 and int64 arrays, as NUL-padded byte matrices.
+"""Exact decimal text of float64 and int64 arrays, and the rows built from it.
 
-The CSV writer (`experiments.format_rows`) and the SVG writer
-(`svgplot.render_svg`) both build their text as uint8 matrices, one
-fixed-width slot per number, and delete the NULs at the end.  This module
-fills the slots:
+Every table and plot writes its text as uint8 matrices: the CSV and JSON
+writer (`experiments.format_rows`) and the SVG writer (`svgplot.render_svg`)
+alike.  A number fills one fixed-width slot, NUL wherever it holds no
+character, and `byte_rows` lays the slots of n rows side by side with the
+constant text between them, then deletes the NULs.  The slots come from
 
 - `float_text`: '%.17g' % x, the CSV float cells;
-- `int_text`: '%d' % k, the CSV integer cells;
+- `int_text`: '%d' % k, the integer cells;
 - `fixed2_text`: '%.2f' % x, the SVG pixel coordinates.
 
 A float is printed from the integer N = round-half-even(|x| s) for a power
@@ -23,7 +24,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["float_text", "int_text", "fixed2_text"]
+__all__ = ["byte_rows", "float_text", "int_text", "fixed2_text"]
 
 # '%.17g'.  A cell's text is 24 bytes (six uint32 words), NUL wherever it
 # holds no character.  A float x with |x| in [1e-4, 10) or x = +-0 prints in
@@ -187,3 +188,25 @@ def fixed2_text(x):
             text = np.pad(text, ((0, 0), (0, slow.shape[1] - _FIXED2_WIDTH)))
         text[~fast] = slow
     return text
+
+
+def byte_rows(n, parts):
+    """The text of n rows, each the concatenation of `parts` in order.
+
+    A part is a str, the same in every row, or an (n, w) uint8 slot matrix
+    from the renderers above, one slot per row.  Every row starts as the
+    strs with NULs where the slots go; then the slots are copied in and
+    every NUL is deleted.
+    """
+    parts = [p.encode() if isinstance(p, str) else p for p in parts]
+    row = b"".join(p if isinstance(p, bytes) else bytes(p.shape[1]) for p in parts)
+    rows = np.empty((n, len(row)), dtype=np.uint8)
+    rows[:] = np.frombuffer(row, dtype=np.uint8)
+    at = 0
+    for p in parts:
+        if isinstance(p, bytes):
+            at += len(p)
+        else:
+            rows[:, at:at + p.shape[1]] = p
+            at += p.shape[1]
+    return rows.tobytes().translate(None, b"\0").decode()

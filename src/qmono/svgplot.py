@@ -3,10 +3,10 @@
 The CSV files are the data contract; these plots exist only to eyeball
 the orderings between the curves.  Output is plain well-formed XML.
 A series comes in as float64 arrays of finite values.  Its pixel
-coordinates are whole-array expressions, and it is written as one uint8
-matrix with a row per point: the row's constant bytes plus an x and a y
-slot, filled with the exact '%.2f' digits of `numtext.fixed2_text` and
-made text by deleting the NUL padding, as a CSV block is.
+coordinates are whole-array expressions, and its points are written by one
+`numtext.byte_rows` call, the row assembler of the CSV and JSON tables: a
+row per point, its constant text around an x and a y slot that hold the
+exact '%.2f' digits of `numtext.fixed2_text`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .numtext import fixed2_text
+from .numtext import byte_rows, fixed2_text
 
 __all__ = ["Series", "render_svg"]
 
@@ -51,16 +51,20 @@ def _extremes(values):
     return float(values[values.argmin()]), float(values[values.argmax()])
 
 
+def _widened(lo, hi):
+    """A single value is widened by 1.0, or by an ulp where adding 1.0 would
+    not move it; upward, or downward where upward overflows."""
+    if hi != lo:
+        return lo, hi
+    step = max(1.0, math.ulp(lo))
+    return (lo, lo + step) if lo + step < math.inf else (lo - step, lo)
+
+
 def _bounds(series):
     if not any(len(s.xs) for s in series):
         return 0.0, 1.0, 0.0, 1.0
-    x0, x1 = _extremes(np.concatenate([s.xs for s in series]))
-    y0, y1 = _extremes(np.concatenate([s.ys for s in series]))
-    # a single value is widened by 1.0, or by an ulp where adding 1.0 would not move it
-    if x1 == x0:
-        x1 = x0 + max(1.0, math.ulp(x0))
-    if y1 == y0:
-        y1 = y0 + max(1.0, math.ulp(y0))
+    x0, x1 = _widened(*_extremes(np.concatenate([s.xs for s in series])))
+    y0, y1 = _widened(*_extremes(np.concatenate([s.ys for s in series])))
     return x0, x1, y0, y1
 
 
@@ -76,20 +80,9 @@ def _unit(values, lo, hi):
 
 
 def _point_rows(px, py, before, between, after):
-    """before + '%.2f' % x + between + '%.2f' % y + after for each point, joined.
-
-    One uint8 matrix with a row per point: the constant bytes and a
-    NUL-padded slot per coordinate, made text by deleting the NULs.
-    """
+    """before + '%.2f' % x + between + '%.2f' % y + after for each point, joined."""
     text = fixed2_text(np.concatenate((px, py)))
-    n, w = len(px), text.shape[1]
-    x_at = len(before)
-    y_at = x_at + w + len(between)
-    rows = np.empty((n, y_at + w + len(after)), dtype=np.uint8)
-    rows[:] = np.frombuffer((before + "\0" * w + between + "\0" * w + after).encode(), dtype=np.uint8)
-    rows[:, x_at:x_at + w] = text[:n]
-    rows[:, y_at:y_at + w] = text[n:]
-    return rows.tobytes().translate(None, b"\0").decode()
+    return byte_rows(len(px), [before, text[:len(px)], between, text[len(px):], after])
 
 
 def render_svg(path, title, xlabel, ylabel, series) -> None:

@@ -275,10 +275,10 @@ class TestScan:
         assert rows[-1]["note"].startswith("infeasible")
         assert rows[-1]["gap_tight"] == ""
 
-    @pytest.mark.parametrize("lo,hi", [("nan", "1"), ("0", "inf")])
+    @pytest.mark.parametrize("lo,hi", [("nan", "1"), ("0", "inf"), ("-1.7e308", "1.7e308")])
     def test_non_finite_bound_exits_2(self, tmp_path, capsys, lo, hi):
         out = tmp_path / "scan.csv"
-        assert run_cli(["scan", "--family", "bell-product", "--from", lo, "--to", hi,
+        assert run_cli(["scan", "--family", "bell-product", f"--from={lo}", f"--to={hi}",
                         "--steps", "3", "--out", str(out)]) == 2
         assert "is not finite" in capsys.readouterr().err
         assert not out.exists()

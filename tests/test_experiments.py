@@ -225,6 +225,7 @@ class TestRunScan:
     @pytest.mark.parametrize("lo,hi,name", [
         (float("nan"), 1.0, "from"), (0.0, float("nan"), "to"),
         (float("-inf"), 1.0, "from"), (0.0, float("inf"), "to"),
+        (-1.7e308, 1.7e308, "to - from"),  # the span overflows a double
     ])
     def test_rejects_non_finite_bounds(self, lo, hi, name):
         with pytest.raises(ValueError, match=f"^scan bound {name} = .* is not finite$"):
@@ -524,13 +525,23 @@ class TestByteIdentity:
         want = _reference_bytes(_reference_scan("canonical-a", 0.4, 0.5, 57, "A"), columns, "csv")
         assert _written(tmp_path, table, columns) == want
 
-    def test_quoted_string_cells(self, tmp_path):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_quoted_string_cells(self, tmp_path, fmt):
+        # the discrepancy table as `discrepancy --out` and `--format json` write it
         rows = experiments.run_discrepancy("canonical-a", n=20, seed=3)
         columns = ["formula", "max_abs_dev", "note"]
         table = {c: np.array([r[c] for r in rows]) for c in columns}
-        want = _reference_bytes(rows, columns, "csv")
+        want = _reference_bytes(rows, columns, fmt)
         assert b'"tau (outer square removed, theta=0 slice)"' in want
-        assert _written(tmp_path, table, columns) == want
+        assert _written(tmp_path, table, columns, fmt) == want
+
+    def test_json_float_slots_at_their_widest(self):
+        # a finite double's repr fills at most the 24-byte slot; the first two fill it
+        values = [-2.2250738585072014e-308, -1.7976931348623157e308, 5e-324, -0.0, 1e16,
+                  1e-5, 0.1]
+        assert [len(repr(v)) for v in values[:2]] == [24, 24]
+        text = "".join(experiments.format_rows({"x": np.array(values)}, ["x"], "json"))
+        assert text == json.dumps([{"x": v} for v in values], indent=1) + "\n"
 
 
 def _percent_g_lines(values):

@@ -1,5 +1,6 @@
 """The byte kernels against Python's '%' formatting, byte for byte:
-'%.17g' (float_text), '%d' (int_text) and '%.2f' (fixed2_text)."""
+'%.17g' (float_text), '%d' (int_text) and '%.2f' (fixed2_text), and the
+row assembler byte_rows over their slots."""
 
 import struct
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmono.numtext import _DECADES, fixed2_text, float_text, int_text
+from qmono.numtext import _DECADES, byte_rows, fixed2_text, float_text, int_text
 
 # every double, drawn by its bit pattern: subnormals, NaNs and infinities too
 ANY_DOUBLE = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
@@ -126,3 +127,17 @@ def test_text_wider_than_the_slot_widens_every_row():
 
 def test_empty():
     assert fixed2_text(np.array([])).shape == (0, 8)
+
+
+TEXT = st.text(st.characters(exclude_characters="\0"), max_size=5)
+
+
+@given(st.lists(st.tuples(st.one_of(ANY_DOUBLE, st.floats()), INT64), max_size=40), TEXT, TEXT)
+@settings(max_examples=200, deadline=None)
+def test_byte_rows_joins_strs_and_slots(pairs, before, between):
+    x = np.array([v for v, _ in pairs], dtype=np.float64)
+    k = np.array([i for _, i in pairs], dtype=np.int64)
+    got = byte_rows(len(pairs), [before, float_text(x), between, "", int_text(k),
+                                 fixed2_text(x), "\n"])
+    assert got == "".join(f"{before}{'%.17g' % v}{between}{'%d' % i}{'%.2f' % v}\n"
+                          for v, i in pairs)
