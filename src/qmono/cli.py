@@ -16,6 +16,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -31,8 +32,22 @@ EXIT_INVARIANT = 3
 _DISCREPANCY_COLUMNS = ["formula", "max_abs_dev", "note"]
 
 
+# A token that reads as a negative decimal number is a value, not an option.
+# argparse's default pattern, '^-\d+$|^-\d*\.\d+$', misses an exponent or a
+# trailing point, and reads `--from -1e-3` or `--theta -5.` as a missing value.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad usage; the contract wants 1."""
+    """argparse exits with status 2 on bad usage; the contract wants 1.
+
+    Negative numbers are recognised by `_NEGATIVE_NUMBER`, set once per
+    parser when the tree is built, so a parse costs what the default costs.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)

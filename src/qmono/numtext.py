@@ -196,9 +196,10 @@ def byte_rows(n, parts):
     A part is a str, the same in every row, or an (n, w) uint8 slot matrix
     from the renderers above, one slot per row.  Every row starts as the
     strs with NULs where the slots go; then the slots are copied in and
-    every NUL is deleted.
+    every NUL is deleted.  The strs go through UTF-8 with "surrogatepass",
+    so any str without a NUL comes back as it went in, lone surrogates too.
     """
-    parts = [p.encode() if isinstance(p, str) else p for p in parts]
+    parts = [p.encode("utf-8", "surrogatepass") if isinstance(p, str) else p for p in parts]
     row = b"".join(p if isinstance(p, bytes) else bytes(p.shape[1]) for p in parts)
     rows = np.empty((n, len(row)), dtype=np.uint8)
     rows[:] = np.frombuffer(row, dtype=np.uint8)
@@ -209,4 +210,4 @@ def byte_rows(n, parts):
         else:
             rows[:, at:at + p.shape[1]] = p
             at += p.shape[1]
-    return rows.tobytes().translate(None, b"\0").decode()
+    return rows.tobytes().translate(None, b"\0").decode("utf-8", "surrogatepass")

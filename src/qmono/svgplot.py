@@ -6,13 +6,14 @@ A series comes in as float64 arrays of finite values.  Its pixel
 coordinates are whole-array expressions, and its points are written by one
 `numtext.byte_rows` call, the row assembler of the CSV and JSON tables: a
 row per point, its constant text around an x and a y slot that hold the
-exact '%.2f' digits of `numtext.fixed2_text`.
+exact '%.2f' digits of `numtext.fixed2_text`.  Label text is escaped by
+`_escape`, not `xml.sax.saxutils`, whose import loads `urllib.request`,
+`http.client`, `email`, `ssl` and `socket` into every `qmono` process.
 """
 
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -43,6 +44,12 @@ class Series:
         self.xs = xs
         self.ys = ys
         self.kind = kind
+
+
+def _escape(text):
+    """`&`, `<` and `>` as XML character data: `xml.sax.saxutils.escape`
+    without its `entities` argument (`&` first, so no entity is escaped twice)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _extremes(values):
@@ -97,16 +104,16 @@ def render_svg(path, title, xlabel, ylabel, series) -> None:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{escape(title)}</text>',
+        f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>',
         # axes
         f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T + ph}" x2="{_MARGIN_L + pw}" '
         f'y2="{_MARGIN_T + ph}" stroke="black"/>',
         f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
         f'y2="{_MARGIN_T + ph}" stroke="black"/>',
         f'<text x="{_MARGIN_L + pw / 2:.1f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-size="13">{escape(xlabel)}</text>',
+        f'font-size="13">{_escape(xlabel)}</text>',
         f'<text x="16" y="{_MARGIN_T + ph / 2:.1f}" text-anchor="middle" font-size="13" '
-        f'transform="rotate(-90 16 {_MARGIN_T + ph / 2:.1f})">{escape(ylabel)}</text>',
+        f'transform="rotate(-90 16 {_MARGIN_T + ph / 2:.1f})">{_escape(ylabel)}</text>',
         # tick labels at the axis extremes
         f'<text x="{_MARGIN_L}" y="{_MARGIN_T + ph + 16}" text-anchor="middle" '
         f'font-size="11">{x0:.3g}</text>',
@@ -131,7 +138,7 @@ def render_svg(path, title, xlabel, ylabel, series) -> None:
                                      f'" r="2.5" fill="{color}"/>\n')[:-1])
         ly = _MARGIN_T + 16 + 16 * k
         parts.append(f'<rect x="{_MARGIN_L + pw - 150}" y="{ly - 9}" width="10" height="10" fill="{color}"/>')
-        parts.append(f'<text x="{_MARGIN_L + pw - 135}" y="{ly}" font-size="12">{escape(s.name)}</text>')
+        parts.append(f'<text x="{_MARGIN_L + pw - 135}" y="{ly}" font-size="12">{_escape(s.name)}</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts))

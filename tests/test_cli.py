@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmono import cli, experiments, states
 from qmono.inequalities import build_report
@@ -148,11 +150,26 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.startswith("error: tol must be finite")
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "canonical-a", "--p1", "-1e-3", "--p2", "0.17", "--p3", "0.16",
+          "--p4", "0.15"], "canonical parameters must be finite and non-negative"),
+        (["--family", "w", "--tol", "-1e-9"], "tol must be positive"),
+        (["--family", "canonical-a", "--p1", "0.4", "--p2", "0.17", "--p3", "0.16",
+          "--p4", "0.15", "--theta", "-5."], "theta must lie in [0, pi), got -5.0"),
+    ])
+    def test_negative_value_with_exponent_or_trailing_point_exits_2(self, capsys, argv, message):
+        # argparse's default pattern reads -1e-3 and -5. as options (exit 1)
+        assert run_cli(["analyze", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["bogus"],
         ["analyze"],
+        ["analyze", "--family", "ghz", "-1e-3"],
         ["ensemble", "--family", "canonical-a"],
         ["scan", "--family", "bell-product", "--from", "0", "--to", "1"],
         ["figures", "--which", "7", "--out-dir", "x"],
@@ -184,6 +201,19 @@ class TestParserReuse:
         capsys.readouterr()
         assert run_cli(["analyze", "--family", "w", "--pivot", "C"]) == 0
         assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["pivot"] == "C"
+
+
+class TestNegativeNumbers:
+    @given(st.from_regex(r"^-\d+$|^-\d*\.\d+$"))
+    @settings(max_examples=100, deadline=None)
+    def test_every_token_argparse_takes_for_a_number_still_is_one(self, token):
+        assert cli._NEGATIVE_NUMBER.match(token)
+
+    @given(st.from_regex(cli._NEGATIVE_NUMBER))
+    @settings(max_examples=100, deadline=None)
+    def test_every_token_taken_for_a_number_is_a_float(self, token):
+        assert float(token) <= 0.0
+
 
 class TestEnsemble:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
@@ -282,6 +312,17 @@ class TestScan:
                         "--steps", "3", "--out", str(out)]) == 2
         assert "is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_bound_with_exponent_is_a_value(self, tmp_path, capsys):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        outputs = []
+        for out, bound in ((spaced, ["--from", "-1e-3"]), (joined, ["--from=-1e-3"])):
+            assert run_cli(["scan", "--family", "bell-product", *bound, "--to", "1",
+                            "--steps", "3", "--out", str(out)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert spaced.read_text().splitlines()[1].endswith('"infeasible: p1 outside [0, 1]"')
 
     @pytest.mark.parametrize("lo,hi", [("0", "1"), ("2", "3")], ids=["feasible", "infeasible"])
     @pytest.mark.parametrize("tol", ["--tol=nan", "--tol=inf"])

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmono.numtext import _DECADES, byte_rows, fixed2_text, float_text, int_text
@@ -134,6 +134,7 @@ TEXT = st.text(st.characters(exclude_characters="\0"), max_size=5)
 
 @given(st.lists(st.tuples(st.one_of(ANY_DOUBLE, st.floats()), INT64), max_size=40), TEXT, TEXT)
 @settings(max_examples=200, deadline=None)
+@example(pairs=[(0.5, 1)], before="\ud800", between="a\udfffb")
 def test_byte_rows_joins_strs_and_slots(pairs, before, between):
     x = np.array([v for v, _ in pairs], dtype=np.float64)
     k = np.array([i for _, i in pairs], dtype=np.int64)

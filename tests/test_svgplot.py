@@ -6,6 +6,8 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmono import experiments, svgplot
 
@@ -106,6 +108,21 @@ def test_escapes_markup_in_labels(tmp_path):
     svgplot.render_svg(path, "a < b & c", "x", "y",
                        [svgplot.Series("s", [0.0], [0.0])])
     ET.parse(path)
+
+
+@pytest.mark.parametrize("text", [
+    "", "a&b", "&amp;", "<g>", "x > y & z < w",
+    '"quoted"', "it's",  # quote characters are left as they are
+    "C\u00b2_A(BC) \u2265 \u03c4 \u2014 \u03c8 \u2297 \U0001d4d7",
+])
+def test_escape_matches_saxutils(text):
+    assert svgplot._escape(text) == escape(text)
+
+
+@given(st.text() | st.text(alphabet="&<>;amplgt\"' \u00e9"))
+@settings(max_examples=200, deadline=None)
+def test_escape_matches_saxutils_on_any_text(text):
+    assert svgplot._escape(text) == escape(text)
 
 
 def test_degenerate_ranges_still_render(tmp_path):
