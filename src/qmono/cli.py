@@ -67,8 +67,23 @@ def _print_report(report, label: str, fmt: str, family: str) -> None:
         print(json.dumps(d, sort_keys=True))
 
 
+# The options each analyze family builds its state from; ghz, w and a state
+# file read none of them, and any option a state is not built from exits 2.
+_CANONICAL_OPTIONS = ("p1", "p2", "p3", "p4", "p5", "theta")
+_STATE_OPTIONS = _CANONICAL_OPTIONS + ("seed",)
+_FAMILY_OPTIONS = {"bell-product": ("p1",), "canonical-a": _CANONICAL_OPTIONS,
+                   "canonical-b": _CANONICAL_OPTIONS, "haar": ("seed",)}
+
+
 def _state_from_args(args) -> np.ndarray:
     family = args.family
+    unread = [k for k in _STATE_OPTIONS
+              if getattr(args, k) is not None and k not in _FAMILY_OPTIONS.get(family, ())]
+    if unread:
+        source = "--state" if family is None else f"--family {family}"
+        raise ValueError(f"--{unread[0]} does not apply to {source}")
+    if args.state is not None:
+        return states.read_state_file(args.state)
     if family in ("canonical-a", "canonical-b"):
         given = [args.p1, args.p2, args.p3, args.p4, args.p5]
         if any(v is None for v in given[:4]):
@@ -80,21 +95,18 @@ def _state_from_args(args) -> np.ndarray:
                 raise ValueError("p1..p4 already exceed normalization; no p5 exists")
             given[4] = math.sqrt(max(1.0 - rest, 0.0))
         make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
-        return make(given, args.theta)
+        return make(given, 0.0 if args.theta is None else args.theta)
     if family == "bell-product":
         if args.p1 is None:
             raise ValueError("bell-product requires --p1")
         return states.make_bell_product(args.p1)
     if family == "haar":
-        return states.sample_haar(states.RngState(args.seed, 0))
+        return states.sample_haar(states.RngState(0 if args.seed is None else args.seed, 0))
     return states.make_ghz() if family == "ghz" else states.make_w()
 
 
 def cmd_analyze(args) -> int:
-    if args.state is not None:
-        psi = states.read_state_file(args.state)
-    else:
-        psi = _state_from_args(args)
+    psi = _state_from_args(args)
     report = build_report(psi, args.pivot)
     label = classify(report, args.tol)
     _print_report(report, label, args.format, args.family if args.state is None else "file")
@@ -173,13 +185,11 @@ def cmd_discrepancy(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, pivot=True, tol=True, fmt=True):
-    if pivot:
-        sub.add_argument("--pivot", choices=("A", "B", "C"), default="A",
-                         help="qubit treated as the single side of every split")
-    if tol:
-        sub.add_argument("--tol", type=float, default=SATURATION_TOL,
-                         help="saturation/violation tolerance on the tight gap")
+def _add_common(sub, fmt=True):
+    sub.add_argument("--pivot", choices=("A", "B", "C"), default="A",
+                     help="qubit treated as the single side of every split")
+    sub.add_argument("--tol", type=float, default=SATURATION_TOL,
+                     help="saturation/violation tolerance on the tight gap")
     if fmt:
         sub.add_argument("--format", choices=("csv", "json"), default="csv",
                          help="machine output format")
@@ -203,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--state", metavar="FILE", help="JSON file of 8 [re, im] amplitudes")
     for k in range(1, 6):
         pa.add_argument(f"--p{k}", type=float)
-    pa.add_argument("--theta", type=float, default=0.0)
-    pa.add_argument("--seed", type=int, default=0, help="stream seed for --family haar")
+    pa.add_argument("--theta", type=float, help="phase of the canonical families (default 0)")
+    pa.add_argument("--seed", type=int, help="stream seed for --family haar (default 0)")
     _add_common(pa)
     pa.set_defaults(func=cmd_analyze, format="json")
 
@@ -224,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--steps", type=int, required=True)
     for k in (2, 3, 4):
         ps.add_argument(f"--p{k}", type=float, help="fixed coefficient for canonical scans")
-    ps.add_argument("--theta", type=float)
+    ps.add_argument("--theta", type=float, help="fixed phase for canonical scans")
     ps.add_argument("--out", required=True)
     _add_common(ps)
     ps.set_defaults(func=cmd_scan)
@@ -244,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--n", type=int, default=200)
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--out", help="optional CSV copy of the table")
-    _add_common(pd, pivot=False, tol=False)
+    pd.add_argument("--format", choices=("csv", "json"), default="csv",
+                    help="stdout format: json prints the table as JSON, csv (the default) "
+                         "as aligned text; the CSV itself goes to --out")
     pd.set_defaults(func=cmd_discrepancy)
     return parser
 

@@ -88,6 +88,8 @@ class EnsembleConfig:
             raise ValueError(f"unknown family {self.family!r}")
         if self.count < 1:
             raise ValueError("count must be at least 1")
+        # ghz and w sample nothing, but take the seeds every family takes
+        states._check_seed(self.seed)
         _check_tol(self.tolerance, "tolerance")
 
 
@@ -161,7 +163,8 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
     """Monotone grid over p1; infeasible points keep a note and no metrics.
 
     For the canonical families the remaining coefficients are held fixed
-    (defaults in SWEEP_DEFAULTS) and p5 is determined by normalization,
+    (defaults in SWEEP_DEFAULTS; a bell-product scan takes none, since p2
+    is 1 - p1) and p5 is determined by normalization,
     which is the only way p1 and p5 can vary together over a rectangle
     while the states stay normalized.  `feasible` marks the points with a
     state; at the others the metric columns (and p5) hold NaN placeholders,
@@ -176,6 +179,8 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
         if not np.isfinite(bound):
             raise ValueError(f"scan bound {name} = {float(bound)!r} is not finite")
     _check_tol(tolerance)
+    if family == "bell-product" and fixed:
+        raise ValueError(f"a bell-product scan takes no fixed coefficients, got {next(iter(fixed))}")
     fixed = {**SWEEP_DEFAULTS, **(fixed or {})}
     n = int(steps)
     grid = np.linspace(float(lo), float(hi), n)
@@ -237,6 +242,8 @@ def run_figure(which, seed, n=100, pivot="A", tolerance=SATURATION_TOL):
     least = 1 if mode == "ensemble" else 2  # samples, or grid points of the p1 sweep
     if n < least:
         raise ValueError(f"--n must be at least {least} for figure {which}, got {n}")
+    # figure 2 samples nothing, but takes the seeds every figure takes
+    states._check_seed(seed)
     if mode == "ensemble":
         table, _ = run_ensemble(EnsembleConfig(family=family, count=n, seed=seed,
                                                pivot=pivot, tolerance=tolerance))

@@ -57,17 +57,6 @@ def _check_seed(seed) -> int:
     return seed
 
 
-def _box_muller(u):
-    """Box-Muller on uniforms paired along the last axis: (r cos, r sin).
-
-    Even positions give the radius and odd ones the angle of each pair.
-    """
-    # 1 - u maps the uniform support [0, 1) onto (0, 1] so log() is safe
-    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
-    angle = 2.0 * np.pi * u[..., 1::2]
-    return r * np.cos(angle), r * np.sin(angle)
-
-
 # The chain SeedSequence(entropy=seed, spawn_key=(i,)) -> PCG64 -> random()
 # of RngState(seed, i), rebuilt in integer arithmetic so that one pass
 # serves every index.  SeedSequence hashes 32-bit words into a pool of four
@@ -196,31 +185,19 @@ class RngState:
 
     Distinct stream indices give statistically independent substreams of
     the same 64-bit seed, so ensemble element i can be generated in
-    isolation and in any order.  Gaussians are produced by Box-Muller from
-    the uniform stream; only `random()` of the underlying generator is
-    consumed, which lets `uniforms` rebuild the draws of many indices in
-    one pass.  This class is the scalar reference those batches match.
+    isolation and in any order.  Only `random()` of the underlying
+    generator is consumed, which lets `uniforms` rebuild the draws of many
+    indices in one pass.  This class is the scalar reference those batches
+    match.
     """
 
-    def __init__(self, seed: int, index: int | None = None):
-        self.seed = _check_seed(seed)
-        self.index = index
-        key = () if index is None else (int(index),)
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=key)
+    def __init__(self, seed: int, index: int):
+        seq = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=(int(index),))
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
         return self._gen.random(int(n))
-
-    def gaussians(self, n: int) -> np.ndarray:
-        """n standard normal doubles via Box-Muller, two uniforms per pair."""
-        pairs = (int(n) + 1) // 2
-        g0, g1 = _box_muller(self._gen.random(2 * pairs))
-        out = np.empty(2 * pairs)
-        out[0::2] = g0
-        out[1::2] = g1
-        return out[: int(n)]
 
 
 def validate(psi) -> np.ndarray:
@@ -340,15 +317,26 @@ def make_canonical_b(p, theta=0.0) -> np.ndarray:
     return _canonical(_CANONICAL_B_INDICES, p, theta)
 
 
-def sample_haar(rng: RngState) -> np.ndarray:
-    """One state from the unitarily invariant distribution.
+def _haar_states(u):
+    """Haar states (..., 8) from 16 uniforms per state along the last axis.
 
-    Eight independent standard complex Gaussian amplitudes, normalized.
+    Box-Muller makes each uniform pair (radius from the even position, angle
+    from the odd one) a standard complex Gaussian amplitude; then normalize.
     """
-    g = rng.gaussians(16)
-    psi = g[0::2] + 1j * g[1::2]
-    # same reduction as the batched sampler so both agree bitwise
-    return psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1))
+    # 1 - u maps the uniform support [0, 1) onto (0, 1] so log() is safe
+    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
+    angle = 2.0 * np.pi * u[..., 1::2]
+    # each array is dropped once read, so a batch peaks at about three state stacks
+    del u
+    psi = r * np.cos(angle) + 1j * (r * np.sin(angle))
+    del r, angle
+    psi /= np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1))[..., None]
+    return psi
+
+
+def sample_haar(rng: RngState) -> np.ndarray:
+    """One state from the unitarily invariant distribution."""
+    return _haar_states(rng.uniforms(16))
 
 
 def sample_haar_batch(seed: int, n: int) -> np.ndarray:
@@ -356,12 +344,9 @@ def sample_haar_batch(seed: int, n: int) -> np.ndarray:
 
     Bitwise the stack of sample_haar(RngState(seed, i)) for i in range(n):
     the 16 uniforms of every index come from one vectorized pass of
-    `uniforms`, and the same Box-Muller step turns them into amplitudes.
-    Rejects the same seeds as RngState.
+    `uniforms`.  Rejects the same seeds as RngState.
     """
-    g0, g1 = _box_muller(uniforms(seed, np.arange(int(n), dtype=np.uint64), 16))
-    psi = g0 + 1j * g1
-    return psi / np.sqrt(np.sum(np.abs(psi) ** 2, axis=-1))[:, None]
+    return _haar_states(uniforms(seed, np.arange(int(n), dtype=np.uint64), 16))
 
 
 def _check_canonical_family(family):

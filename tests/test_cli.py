@@ -119,6 +119,45 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--family", "ghz", "--p1", "7", "--theta", "9", "--seed", "5"],
+         "--p1 does not apply to --family ghz"),
+        (["--family", "w", "--seed", "-7"], "--seed does not apply to --family w"),
+        (["--state", "{state}", "--p1", "3", "--theta", "2", "--seed", "9"],
+         "--p1 does not apply to --state"),
+        (["--family", "bell-product", "--p1", "0.5", "--theta", "1"],
+         "--theta does not apply to --family bell-product"),
+        (["--family", "canonical-a", "--p1", "0.4", "--p2", "0.17", "--p3", "0.16",
+          "--p4", "0.15", "--seed", "2"], "--seed does not apply to --family canonical-a"),
+        (["--family", "canonical-b", "--p1", "0.5", "--p2", "0.4", "--p3", "0.3",
+          "--p4", "0.2", "--theta", "1", "--seed", "0"],
+         "--seed does not apply to --family canonical-b"),
+        (["--family", "haar", "--p5", "0.1", "--seed", "3"],
+         "--p5 does not apply to --family haar"),
+    ], ids=["ghz", "w", "state-file", "bell-product", "canonical-a", "canonical-b", "haar"])
+    def test_option_the_state_is_not_built_from_exits_2(self, tmp_path, capsys, flags,
+                                                          message):
+        path = tmp_path / "ghz.json"
+        states.write_state_file(path, states.make_ghz())
+        argv = ["analyze", *(str(path) if f == "{state}" else f for f in flags)]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("absent,given", [
+        (["--family", "haar"], ["--family", "haar", "--seed", "0"]),
+        (["--family", "canonical-a", "--p1", "0.4", "--p2", "0.17", "--p3", "0.16", "--p4", "0.15"],
+         ["--family", "canonical-a", "--p1", "0.4", "--p2", "0.17", "--p3", "0.16", "--p4", "0.15",
+          "--theta", "0"]),
+    ], ids=["seed", "theta"])
+    def test_absent_seed_and_theta_are_zero(self, capsys, absent, given):
+        outputs = []
+        for flags in (absent, given):
+            assert run_cli(["analyze", *flags, "--format", "csv"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_haar_report_is_the_library_report(self, capsys):
         assert run_cli(["analyze", "--family", "haar", "--seed", "3"]) == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -248,12 +287,20 @@ class TestEnsemble:
         assert "tolerance must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("family", ["haar", "canonical-a"])
+    @pytest.mark.parametrize("family", ["haar", "canonical-a", "ghz", "w"])
     def test_out_of_range_seed_exits_2(self, tmp_path, capsys, family):
         out = tmp_path / "runs.csv"
         assert run_cli(["ensemble", "--family", family, "--n", "3",
                         "--seed", str(2**64), "--out", str(out)]) == 2
         assert "unsigned 64-bit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["ghz", "w"])
+    def test_negative_seed_exits_2_for_unsampled_families(self, tmp_path, capsys, family):
+        out = tmp_path / "runs.csv"
+        assert run_cli(["ensemble", "--family", family, "--n", "2",
+                        "--seed", "-5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
         assert not out.exists()
 
     def test_invariant_violation_exits_3_but_writes(self, tmp_path, capsys, monkeypatch):
@@ -346,6 +393,20 @@ class TestScan:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("fixed,name", [
+        (["--p2", "5", "--theta", "9"], "p2"),
+        (["--p2", "nan"], "p2"),
+        (["--p4", "0.1"], "p4"),
+        (["--theta", "0"], "theta"),
+    ])
+    def test_bell_product_takes_no_fixed_coefficient(self, tmp_path, capsys, fixed, name):
+        out = tmp_path / "scan.csv"
+        assert run_cli(["scan", "--family", "bell-product", "--from", "0", "--to", "1",
+                        "--steps", "3", *fixed, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: a bell-product scan takes no fixed coefficients, got {name}\n")
+        assert not out.exists()
+
     def test_rejects_unsupported_parameter(self, tmp_path, capsys):
         # p1 is the only swept parameter, so there is no --param option
         out = tmp_path / "scan.csv"
@@ -384,6 +445,15 @@ class TestFigures:
                         "--out-dir", str(tmp_path / "figs")]) == 2
         assert capsys.readouterr().err == (
             f"error: --n must be at least {least} for figure {which}, got {n}\n")
+        assert not (tmp_path / "figs").exists()
+
+    @pytest.mark.parametrize("which", [1, 2, 3, 4])
+    @pytest.mark.parametrize("seed", ["-4", str(2**64)])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, which, seed):
+        # figure 2 samples nothing, yet takes the seeds the other figures take
+        assert run_cli(["figures", "--which", str(which), "--seed", seed, "--n", "5",
+                        "--out-dir", str(tmp_path / "figs")]) == 2
+        assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
         assert not (tmp_path / "figs").exists()
 
     def test_svg_points_come_from_csv(self, tmp_path, capsys):
@@ -428,3 +498,33 @@ class TestDiscrepancy:
     def test_long_family_names_accepted(self, capsys):
         assert run_cli(["discrepancy", "--family", "canonical-b", "--n", "20"]) == 0
         capsys.readouterr()
+
+
+# The argv shapes the benchmark and CI send; "{tmp}" stands for a scratch directory.
+_CANONICAL_P = ["--p1", "0.4", "--p2", "0.17", "--p3", "0.16", "--p4", "0.15"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "ghz"],
+    ["analyze", "--family", "w", "--pivot", "B"],
+    ["analyze", "--family", "bell-product", "--p1", "0.6666666666666666"],
+    ["analyze", "--family", "canonical-a", *_CANONICAL_P, "--theta", "2.5"],
+    ["analyze", "--family", "canonical-b", *_CANONICAL_P, "--pivot", "C"],
+    ["analyze", "--family", "haar", "--seed", "18446744073709551615"],
+    ["analyze", "--family", "haar", "--format", "csv"],
+    ["analyze", "--state", "{tmp}/ghz.json", "--pivot", "B"],
+    *(["figures", "--which", str(k), "--seed", "4", "--n", "6", "--out-dir", "{tmp}"]
+      for k in (1, 2, 3, 4)),
+    ["ensemble", "--family", "ghz", "--n", "2", "--seed", "18446744073709551615",
+     "--out", "{tmp}/g.csv"],
+    ["ensemble", "--family", "w", "--n", "2", "--seed", "9", "--out", "{tmp}/w.csv"],
+    ["scan", "--family", "bell-product", "--from", "0", "--to", "1", "--steps", "11",
+     "--out", "{tmp}/b.csv"],
+    ["scan", "--family", "canonical-b", "--from", "0", "--to", "1.2", "--steps", "13",
+     "--pivot", "B", "--format", "json", "--out", "{tmp}/c.json"],
+    ["discrepancy", "--family", "b", "--n", "20", "--seed", "5", "--out", "{tmp}/d.csv"],
+], ids=lambda argv: " ".join(a for a in argv if "{tmp}" not in a))
+def test_accepted_argv_exits_0(tmp_path, capsys, argv):
+    states.write_state_file(tmp_path / "ghz.json", states.make_ghz())
+    assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
+    assert capsys.readouterr().err == ""
