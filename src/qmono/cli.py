@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, experiments, states, svgplot
-from .inequalities import SATURATION_TOL, build_report, classify
+from .inequalities import METRIC_KEYS, SATURATION_TOL, build_report, classify
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -56,9 +56,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _print_report(report, label: str, fmt: str, family: str) -> None:
     d = {**vars(report), "class": label, "saturated_tight": label == "saturated"}
-    order = ["pivot", "c2_ab", "c2_ac", "c2_abc", "tau",
-             "rhs_fei", "rhs_tight", "gap_fei", "gap_tight", "class"]
-    sys.stdout.write("".join(f"{key:<12}: {experiments.format_number(d[key])}\n" for key in order))
+    sys.stdout.write("".join(f"{key:<12}: {experiments.format_number(d[key])}\n"
+                             for key in ("pivot", *METRIC_KEYS, "class")))
     if fmt == "csv":
         row = {**d, "index": 0, "family": family}
         table = {k: np.array([v]) for k, v in row.items() if k in experiments.CSV_COLUMNS}
@@ -126,10 +125,8 @@ def _print_summary(summary: dict) -> None:
 
 
 def cmd_ensemble(args) -> int:
-    config = experiments.EnsembleConfig(family=args.family, count=args.n,
-                                        seed=args.seed, pivot=args.pivot,
-                                        tolerance=args.tol)
-    table, summary = experiments.run_ensemble(config)
+    table, summary = experiments.run_ensemble(args.family, args.n, args.seed,
+                                              pivot=args.pivot, tolerance=args.tol)
     experiments.write_rows(args.out, table, experiments.CSV_COLUMNS, args.format)
     _print_summary(summary)
     experiments.validate_rows(table)
@@ -137,10 +134,9 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    fixed = {"p2": args.p2, "p3": args.p3, "p4": args.p4, "theta": args.theta}
-    fixed = {k: v for k, v in fixed.items() if v is not None}
-    table = experiments.run_scan(args.family, args.lo, args.hi, args.steps,
-                                 pivot=args.pivot, tolerance=args.tol, fixed=fixed)
+    table = experiments.run_scan(args.family, args.lo, args.hi, args.steps, pivot=args.pivot,
+                                 tolerance=args.tol, p2=args.p2, p3=args.p3, p4=args.p4,
+                                 theta=args.theta)
     experiments.write_rows(args.out, table, experiments.SCAN_COLUMNS, args.format)
     feasible = table["feasible"]
     count = int(np.count_nonzero(feasible))

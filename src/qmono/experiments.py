@@ -1,59 +1,53 @@
 """Batch runners behind the CLI: ensembles, parameter scans, figure data,
 and the closed-form discrepancy audit.
 
-Every runner returns one columnar table: a dict of equal-length numpy
-arrays keyed by column name, from the sampler through the monogamy table
-to the writer, with no per-row Python on the way.  A column the table
-lacks is written empty in every row (the parameters of a Haar ensemble,
-say).  A scan table also carries a boolean `feasible` entry: a grid point
-with no state keeps only its index, family and note.  CSV and JSON come
-from one block formatter, `format_rows`, over one fixed schema so all
-outputs stay interchangeable for downstream plotting.  A format is data
-(`_FORMATS`): the text around rows and cells, string quoting, the float
-slot renderer and the empty cell.  Every block is one `numtext.byte_rows`
-call over slot matrices: CSV floats carry the exact digits of '%.17g' (the
-`numtext` kernel: Dekker's TwoProduct where 1e-4 <= |x| < 10), JSON floats
-are each double's repr, as `json` writes them.  Both round-trip exact for
-doubles, and the tables are re-validated against the report invariants by
-array reductions.
+Every runner takes its parameters as plain arguments and checks them
+itself: a bad value raises ValueError, an unknown name TypeError.  The
+ensemble, scan and figure runners return one columnar table: a dict of
+equal-length numpy arrays keyed by column name, from the sampler through
+the monogamy table to the writer, with no per-row Python on the way.  A
+column the table lacks is written empty in every row (the parameters of a
+Haar ensemble, say).  A scan table also carries a boolean `feasible`
+entry: a grid point with no state keeps only its index, family and note.
+CSV and JSON come from one block formatter, `format_rows`, over one fixed
+schema so all outputs stay interchangeable for downstream plotting.  A
+format is data (`_FORMATS`): the text around rows and cells, string
+quoting, the float slot renderer and the empty cell.  Every block is one
+`numtext.byte_rows` call over slot matrices: CSV floats carry the exact
+digits of '%.17g' (the `numtext` kernel: Dekker's TwoProduct where
+1e-4 <= |x| < 10), JSON floats are each double's repr, as `json` writes them.
+Both round-trip exact for doubles, and the tables are re-validated against
+the report invariants by array reductions.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import closed_forms, states, svgplot
-from .inequalities import SATURATION_TOL, _check_tol, classify_gaps, monogamy_table
+from .inequalities import METRIC_KEYS, SATURATION_TOL, _check_tol, classify_gaps, monogamy_table
 from .numtext import _percent_text, byte_rows, float_text, int_text
 from .states import _first_failure
 
 __all__ = [
     "CSV_COLUMNS",
     "SCAN_COLUMNS",
-    "EnsembleConfig",
     "InvariantViolation",
     "run_ensemble",
     "run_scan",
     "run_figure",
     "run_discrepancy",
-    "summarize",
     "validate_rows",
     "write_rows",
     "format_rows",
     "format_number",
 ]
 
-CSV_COLUMNS = [
-    "index", "family", "p1", "p2", "p3", "p4", "p5", "theta",
-    "c2_ab", "c2_ac", "c2_abc", "tau",
-    "rhs_fei", "rhs_tight", "gap_fei", "gap_tight", "class",
-]
+CSV_COLUMNS = ["index", "family", "p1", "p2", "p3", "p4", "p5", "theta", *METRIC_KEYS, "class"]
 SCAN_COLUMNS = CSV_COLUMNS + ["note"]
 
-_METRIC_KEYS = ("c2_ab", "c2_ac", "c2_abc", "tau", "rhs_fei", "rhs_tight", "gap_fei", "gap_tight")
 _PARAM_KEYS = ("p1", "p2", "p3", "p4", "p5")
 # The cells an infeasible scan point keeps.
 _INFEASIBLE_KEEPS = ("index", "family", "note")
@@ -71,26 +65,6 @@ SWEEP_DEFAULTS = {"p2": 0.17, "p3": 0.16, "p4": 0.15, "theta": 0.0}
 
 class InvariantViolation(RuntimeError):
     """A computed record failed a structural report invariant."""
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """Parameters of one batch run."""
-
-    family: str
-    count: int
-    seed: int
-    pivot: str = "A"
-    tolerance: float = SATURATION_TOL
-
-    def __post_init__(self):
-        if self.family not in states.FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.count < 1:
-            raise ValueError("count must be at least 1")
-        # ghz and w sample nothing, but take the seeds every family takes
-        states._check_seed(self.seed)
-        _check_tol(self.tolerance, "tolerance")
 
 
 def format_number(value) -> str:
@@ -114,57 +88,59 @@ def _feasible(table) -> np.ndarray:
 def _metric_columns(psis, pivot, tolerance) -> dict:
     """The metric columns and the class labels of a stack of states."""
     table = monogamy_table(psis, pivot)
-    cols = {k: table[k] for k in _METRIC_KEYS}
+    cols = {k: table[k] for k in METRIC_KEYS}
     cols["class"] = classify_gaps(table["gap_tight"], tolerance)
     return cols
 
 
-def _ensemble_states(config: EnsembleConfig):
+def _ensemble_states(family, n, seed):
     """States plus the parameter columns the family has."""
-    n, seed = config.count, config.seed
-    if config.family == "haar":
+    if family == "haar":
         return states.sample_haar_batch(seed, n), {}
-    if config.family in ("canonical-a", "canonical-b"):
-        p, theta = states.sample_canonical_batch(seed, n, config.family)
-        maker = states.make_canonical_a if config.family == "canonical-a" else states.make_canonical_b
+    if family in ("canonical-a", "canonical-b"):
+        p, theta = states.sample_canonical_batch(seed, n, family)
+        maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
         return maker(p, theta), {**dict(zip(_PARAM_KEYS, p.T)), "theta": theta}
-    if config.family == "bell-product":
+    if family == "bell-product":
         p1 = states.uniforms(seed, np.arange(n, dtype=np.uint64), 1)[:, 0]
         return states.make_bell_product(p1), {"p1": p1, "p2": 1.0 - p1}
-    builder = states.make_ghz if config.family == "ghz" else states.make_w
+    builder = states.make_ghz if family == "ghz" else states.make_w
     return np.tile(builder(), (n, 1)), {}
 
 
-def run_ensemble(config: EnsembleConfig):
-    """Sample the family and report every state; returns (table, summary)."""
-    psis, params = _ensemble_states(config)
-    table = {"index": np.arange(config.count), "family": np.full(config.count, config.family),
-             **params, **_metric_columns(psis, config.pivot, config.tolerance)}
-    return table, summarize(table, config)
+def run_ensemble(family, n, seed, pivot="A", tolerance=SATURATION_TOL):
+    """Sample n states of the family and report every one; returns (table, summary).
 
-
-def summarize(table, config: EnsembleConfig) -> dict:
-    """Distribution summary of the gaps plus classification counts."""
-    gf, gt, labels = table["gap_fei"], table["gap_tight"], table["class"]
-    return {
-        "family": config.family,
-        "count": len(gf),
-        "seed": config.seed,
-        "pivot": config.pivot,
-        "tolerance": config.tolerance,
-        "gap_fei": {"min": float(gf.min()), "median": float(np.median(gf)), "max": float(gf.max())},
-        "gap_tight": {"min": float(gt.min()), "median": float(np.median(gt)), "max": float(gt.max())},
+    The summary echoes the arguments (n as "count"), gives the min, median
+    and max of both gaps, and counts the saturated and violated rows.
+    """
+    if family not in states.FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    # ghz and w sample nothing, but take the seeds every family takes
+    states._check_seed(seed)
+    _check_tol(tolerance)
+    psis, params = _ensemble_states(family, n, seed)
+    table = {"index": np.arange(n), "family": np.full(n, family),
+             **params, **_metric_columns(psis, pivot, tolerance)}
+    labels = table["class"]
+    return table, {
+        "family": family, "count": n, "seed": seed, "pivot": pivot, "tolerance": tolerance,
+        **{k: {"min": float(table[k].min()), "median": float(np.median(table[k])),
+               "max": float(table[k].max())} for k in ("gap_fei", "gap_tight")},
         "saturated": int(np.count_nonzero(labels == "saturated")),
         "violated": int(np.count_nonzero(labels == "violated")),
     }
 
 
-def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=None):
+def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL,
+             p2=None, p3=None, p4=None, theta=None):
     """Monotone grid over p1; infeasible points keep a note and no metrics.
 
-    For the canonical families the remaining coefficients are held fixed
-    (defaults in SWEEP_DEFAULTS; a bell-product scan takes none, since p2
-    is 1 - p1) and p5 is determined by normalization,
+    For the canonical families p2, p3, p4 and theta are held fixed (each
+    one not given takes its SWEEP_DEFAULTS value; a bell-product scan takes
+    none, since p2 is 1 - p1) and p5 is determined by normalization,
     which is the only way p1 and p5 can vary together over a rectangle
     while the states stay normalized.  `feasible` marks the points with a
     state; at the others the metric columns (and p5) hold NaN placeholders,
@@ -179,9 +155,10 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
         if not np.isfinite(bound):
             raise ValueError(f"scan bound {name} = {float(bound)!r} is not finite")
     _check_tol(tolerance)
-    if family == "bell-product" and fixed:
-        raise ValueError(f"a bell-product scan takes no fixed coefficients, got {next(iter(fixed))}")
-    fixed = {**SWEEP_DEFAULTS, **(fixed or {})}
+    given = {k: v for k, v in zip(SWEEP_DEFAULTS, (p2, p3, p4, theta)) if v is not None}
+    if family == "bell-product" and given:
+        raise ValueError(f"a bell-product scan takes no fixed coefficients, got {next(iter(given))}")
+    p2, p3, p4, theta = {**SWEEP_DEFAULTS, **given}.values()
     n = int(steps)
     grid = np.linspace(float(lo), float(hi), n)
     if family == "bell-product":
@@ -190,10 +167,9 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
         note = "infeasible: p1 outside [0, 1]"
         psis = states.make_bell_product(grid[ok])
     else:
-        p2, p3, p4 = fixed["p2"], fixed["p3"], fixed["p4"]
         # checked here, since a grid without a feasible point builds no state to check them
         failure = _first_failure(states._entry_checks(
-            np.array([p2, p3, p4], dtype=np.float64), np.asarray(fixed["theta"], dtype=np.float64)))
+            np.array([p2, p3, p4], dtype=np.float64), np.asarray(theta, dtype=np.float64)))
         if failure is not None:
             raise ValueError(failure[1])
         p5sq = 1.0 - grid * grid - p2 * p2 - p3 * p3 - p4 * p4
@@ -201,12 +177,12 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL, fixed=N
         params = {"p1": grid, "p2": np.full(n, p2, dtype=np.float64),
                   "p3": np.full(n, p3, dtype=np.float64), "p4": np.full(n, p4, dtype=np.float64),
                   "p5": np.sqrt(np.where(ok, p5sq, np.nan)),
-                  "theta": np.full(n, fixed["theta"], dtype=np.float64)}
+                  "theta": np.full(n, theta, dtype=np.float64)}
         note = "infeasible: no normalized state for this p1"
         maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
         psis = maker(np.stack([params[k][ok] for k in _PARAM_KEYS], axis=-1), params["theta"][ok])
     table = {"index": np.arange(n), "family": np.full(n, family), **params,
-             **{k: np.full(n, np.nan) for k in _METRIC_KEYS},
+             **{k: np.full(n, np.nan) for k in METRIC_KEYS},
              "class": np.full(n, "", dtype=object), "note": np.where(ok, "", note), "feasible": ok}
     if ok.any():
         for key, values in _metric_columns(psis, pivot, tolerance).items():
@@ -245,8 +221,7 @@ def run_figure(which, seed, n=100, pivot="A", tolerance=SATURATION_TOL):
     # figure 2 samples nothing, but takes the seeds every figure takes
     states._check_seed(seed)
     if mode == "ensemble":
-        table, _ = run_ensemble(EnsembleConfig(family=family, count=n, seed=seed,
-                                               pivot=pivot, tolerance=tolerance))
+        table, _ = run_ensemble(family, n, seed, pivot=pivot, tolerance=tolerance)
         xlabel, columns, kind = "sample index", CSV_COLUMNS, "scatter"
         x_key = "index"
     else:

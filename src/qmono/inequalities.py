@@ -53,6 +53,8 @@ __all__ = [
 
 # Default absolute tolerance on the gap for saturation / violation calls.
 SATURATION_TOL = 1e-9
+# The metric columns of a report, in MonogamyReport's field order.
+METRIC_KEYS = ("c2_ab", "c2_ac", "c2_abc", "tau", "rhs_fei", "rhs_tight", "gap_fei", "gap_tight")
 # classify_gaps labels, indexed by (|g| <= tol) + 2 (g < -tol); NaN is strict
 _GAP_LABELS = np.array(["strict", "saturated", "violated"])
 
@@ -87,12 +89,12 @@ def fei_rhs_values(c2_ab, c2_ac, tau):
     return 2.0 * np.sqrt(np.asarray(c2_ab) * np.asarray(c2_ac) + np.asarray(tau) ** 2 / 4.0)
 
 
-def _check_tol(tol, name="tol"):
+def _check_tol(tol):
     """Reject a gap tolerance that is not a finite positive number."""
     if not math.isfinite(tol):
-        raise ValueError(f"{name} must be finite, got {float(tol)!r}")
+        raise ValueError(f"tol must be finite, got {float(tol)!r}")
     if tol <= 0:
-        raise ValueError(f"{name} must be positive")
+        raise ValueError("tol must be positive")
 
 
 def classify_gaps(gap_tight, tol: float = SATURATION_TOL):
@@ -159,14 +161,7 @@ def build_report(psi, pivot: str = "A") -> MonogamyReport:
     vals = {k: float(v[0]) for k, v in table.items()}
     return MonogamyReport(
         pivot=pivot,
-        c2_ab=vals["c2_ab"],
-        c2_ac=vals["c2_ac"],
-        c2_abc=vals["c2_abc"],
-        tau=vals["tau"],
-        rhs_fei=vals["rhs_fei"],
-        rhs_tight=vals["rhs_tight"],
-        gap_fei=vals["gap_fei"],
-        gap_tight=vals["gap_tight"],
+        **{k: vals[k] for k in METRIC_KEYS},
         raw_unclamped={
             "c_ab": _signed_root(vals["raw_c2_ab"]),
             "c_ac": _signed_root(vals["raw_c2_ac"]),

@@ -47,8 +47,7 @@ def bell_grid():
 
 @pytest.fixture(scope="module")
 def canonical_100():
-    config = experiments.EnsembleConfig(family="canonical-a", count=100, seed=SEED)
-    table, _ = experiments.run_ensemble(config)
+    table, _ = experiments.run_ensemble("canonical-a", 100, SEED)
     return table
 
 

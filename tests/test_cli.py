@@ -284,7 +284,7 @@ class TestEnsemble:
     def test_non_finite_tol_exits_2(self, tmp_path, capsys, tol):
         out = tmp_path / "runs.csv"
         assert run_cli(["ensemble", "--family", "haar", "--n", "5", tol, "--out", str(out)]) == 2
-        assert "tolerance must be finite" in capsys.readouterr().err
+        assert "tol must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("family", ["haar", "canonical-a", "ghz", "w"])
@@ -528,3 +528,17 @@ def test_accepted_argv_exits_0(tmp_path, capsys, argv):
     states.write_state_file(tmp_path / "ghz.json", states.make_ghz())
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--family", "ghz"],
+    ["ensemble", "--family", "haar", "--n", "5", "--out", "{tmp}/e.csv"],
+    ["scan", "--family", "canonical-a", "--from", "0", "--to", "1", "--steps", "3",
+     "--out", "{tmp}/s.csv"],
+    ["figures", "--which", "1", "--n", "5", "--out-dir", "{tmp}/figs"],
+    ["figures", "--which", "2", "--n", "5", "--out-dir", "{tmp}/figs"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_nan_tol_gives_one_message_everywhere(tmp_path, capsys, argv):
+    assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--tol", "nan"]) == 2
+    assert capsys.readouterr() == ("", "error: tol must be finite, got nan\n")
+    assert list(tmp_path.iterdir()) == []

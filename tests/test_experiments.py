@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qmono import experiments, numtext, states
-from qmono.inequalities import classify_gaps, monogamy_table
+from qmono.inequalities import METRIC_KEYS, classify_gaps, monogamy_table
 
 
 HEADER = ("index,family,p1,p2,p3,p4,p5,theta,c2_ab,c2_ac,c2_abc,tau,"
@@ -22,9 +22,9 @@ def same_table(a, b):
 
 
 def small_config(**kw):
-    base = dict(family="canonical-a", count=20, seed=5)
+    base = dict(family="canonical-a", n=20, seed=5)
     base.update(kw)
-    return experiments.EnsembleConfig(**base)
+    return base
 
 
 class TestFormatting:
@@ -44,27 +44,29 @@ class TestFormatting:
 
 
 class TestEnsembleConfig:
+    """run_ensemble's argument checks."""
+
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
-            experiments.EnsembleConfig(family="cluster", count=5, seed=0)
+            experiments.run_ensemble("cluster", 5, 0)
 
     def test_rejects_empty_run(self):
         with pytest.raises(ValueError):
-            experiments.EnsembleConfig(family="haar", count=0, seed=0)
+            experiments.run_ensemble("haar", 0, 0)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
-            experiments.EnsembleConfig(family="haar", count=5, seed=0, tolerance=-1.0)
+            experiments.run_ensemble("haar", 5, 0, tolerance=-1.0)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_tolerance(self, tol):
-        with pytest.raises(ValueError, match="^tolerance must be finite"):
-            experiments.EnsembleConfig(family="haar", count=5, seed=0, tolerance=tol)
+        with pytest.raises(ValueError, match="^tol must be finite"):
+            experiments.run_ensemble("haar", 5, 0, tolerance=tol)
 
 
 class TestRunEnsemble:
     def test_row_shape_and_indices(self):
-        table, summary = experiments.run_ensemble(small_config())
+        table, summary = experiments.run_ensemble(**small_config())
         assert table["index"].tolist() == list(range(20))
         assert all(f == "canonical-a" for f in table["family"])
         assert set(experiments.CSV_COLUMNS) <= set(table)
@@ -73,13 +75,13 @@ class TestRunEnsemble:
         assert summary["saturated"] + summary["violated"] <= 20
 
     def test_canonical_rows_carry_parameters(self):
-        table, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(**small_config())
         total = sum(table[f"p{k}"][0] ** 2 for k in range(1, 6))
         assert total == pytest.approx(1.0, abs=1e-9)
         assert 0.0 <= table["theta"][0] < np.pi
 
     def test_haar_rows_have_empty_parameters(self):
-        table, _ = experiments.run_ensemble(small_config(family="haar"))
+        table, _ = experiments.run_ensemble(**small_config(family="haar"))
         assert "p1" not in table
         assert "theta" not in table
         text = "".join(experiments.format_rows(table, experiments.CSV_COLUMNS, "csv"))
@@ -92,24 +94,24 @@ class TestRunEnsemble:
         assert row["theta"] == ""
 
     def test_bell_product_rows(self):
-        table, _ = experiments.run_ensemble(small_config(family="bell-product"))
+        table, _ = experiments.run_ensemble(**small_config(family="bell-product"))
         for p1, p2 in zip(table["p1"], table["p2"]):
             assert 0.0 <= p1 <= 1.0
             assert p2 == pytest.approx(1.0 - p1)
 
     def test_fixed_states_repeat(self):
-        table, _ = experiments.run_ensemble(small_config(family="ghz", count=3))
+        table, _ = experiments.run_ensemble(**small_config(family="ghz", n=3))
         tau = table["tau"]
         assert tau[0] == tau[1] == tau[2] == pytest.approx(1.0)
 
     def test_deterministic_for_fixed_seed(self):
-        a, _ = experiments.run_ensemble(small_config())
-        b, _ = experiments.run_ensemble(small_config())
+        a, _ = experiments.run_ensemble(**small_config())
+        b, _ = experiments.run_ensemble(**small_config())
         assert same_table(a, b)
 
     def test_seed_changes_rows(self):
-        a, _ = experiments.run_ensemble(small_config())
-        b, _ = experiments.run_ensemble(small_config(seed=6))
+        a, _ = experiments.run_ensemble(**small_config())
+        b, _ = experiments.run_ensemble(**small_config(seed=6))
         assert not same_table(a, b)
 
     def test_classifies_once_per_table(self, monkeypatch):
@@ -121,14 +123,21 @@ class TestRunEnsemble:
             return real(gaps, tol)
 
         monkeypatch.setattr(experiments, "classify_gaps", counting)
-        table, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(**small_config())
         experiments.run_scan("bell-product", -0.5, 1.0, 7)
         assert calls == [(20,), (5,)]
         want = real(table["gap_tight"], experiments.SATURATION_TOL)
         assert table["class"].tolist() == list(want)
 
+    def test_summary_echoes_the_arguments(self):
+        _, summary = experiments.run_ensemble("ghz", 3, 7, pivot="B", tolerance=1e-6)
+        assert {k: summary[k] for k in ("family", "count", "seed", "pivot", "tolerance")} == {
+            "family": "ghz", "count": 3, "seed": 7, "pivot": "B", "tolerance": 1e-6}
+        assert summary["saturated"] == 3
+        assert summary["violated"] == 0
+
     def test_summary_gap_stats(self):
-        table, summary = experiments.run_ensemble(small_config())
+        table, summary = experiments.run_ensemble(**small_config())
         gaps = sorted(table["gap_tight"])
         assert summary["gap_tight"]["min"] == pytest.approx(gaps[0])
         assert summary["gap_tight"]["max"] == pytest.approx(gaps[-1])
@@ -136,24 +145,24 @@ class TestRunEnsemble:
 
 class TestValidateRows:
     def test_accepts_good_rows(self):
-        table, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(**small_config())
         experiments.validate_rows(table)
 
     def test_rejects_broken_closure(self):
-        table, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(**small_config())
         table["tau"][3] += 1e-3
         with pytest.raises(experiments.InvariantViolation, match="closure"):
             experiments.validate_rows(table)
 
     def test_rejects_inverted_gaps(self):
-        table, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(**small_config())
         table["gap_tight"][0] = table["gap_fei"][0] + 1.0
         table["c2_abc"][0] = table["c2_ab"][0] + table["c2_ac"][0] + table["tau"][0]
         with pytest.raises(experiments.InvariantViolation):
             experiments.validate_rows(table)
 
     def test_rejects_violated_class(self):
-        table, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(**small_config())
         table["class"][0] = "violated"
         table["gap_tight"][0] = -1e-6
         table["gap_fei"][0] = 0.0
@@ -169,7 +178,7 @@ class TestValidateRows:
         experiments.validate_rows(table)
 
     def test_reports_first_row_and_its_first_failed_check(self):
-        table, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(**small_config())
         table["tau"][7] = 2.0
         table["c2_ab"][4] = 1.5
         table["c2_abc"][4] = table["c2_ab"][4] + table["c2_ac"][4] + table["tau"][4]
@@ -211,8 +220,17 @@ class TestRunScan:
         assert np.all(t["rhs_tight"] >= t["rhs_fei"] - 1e-12)
 
     def test_fixed_overrides(self):
-        table = experiments.run_scan("canonical-a", 0.4, 0.5, 5, fixed={"p2": 0.3})
+        table = experiments.run_scan("canonical-a", 0.4, 0.5, 5, p2=0.3)
         assert table["p2"][0] == pytest.approx(0.3)
+
+    @pytest.mark.parametrize("name", ["p5", "phi"])
+    def test_rejects_unknown_coefficient_name(self, name):
+        with pytest.raises(TypeError, match=name):
+            experiments.run_scan("canonical-a", 0.4, 0.5, 3, **{name: 0.9})
+
+    def test_bell_product_rejects_a_coefficient_at_its_default(self):
+        with pytest.raises(ValueError, match="no fixed coefficients, got theta$"):
+            experiments.run_scan("bell-product", 0, 1, 3, theta=0.0)
 
     def test_rejects_unsupported_family(self):
         with pytest.raises(ValueError):
@@ -246,7 +264,7 @@ class TestRunScan:
     def test_rejects_bad_fixed_coefficients_before_the_grid(self, fixed, message):
         # p1 > 1 leaves no point of this grid a state, so only the up-front check sees them
         with pytest.raises(ValueError, match=message):
-            experiments.run_scan("canonical-b", 1.1, 1.2, 3, fixed=fixed)
+            experiments.run_scan("canonical-b", 1.1, 1.2, 3, **fixed)
 
 
 class TestRunFigure:
@@ -284,7 +302,7 @@ class TestRunFigure:
 
 class TestWriteRows:
     def test_csv_header_and_determinism(self, tmp_path):
-        table, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(**small_config())
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         experiments.write_rows(p1, table, experiments.CSV_COLUMNS)
         experiments.write_rows(p2, table, experiments.CSV_COLUMNS)
@@ -293,7 +311,7 @@ class TestWriteRows:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_csv_round_trips_doubles(self, tmp_path):
-        table, _ = experiments.run_ensemble(small_config())
+        table, _ = experiments.run_ensemble(**small_config())
         path = tmp_path / "x.csv"
         experiments.write_rows(path, table, experiments.CSV_COLUMNS)
         with open(path, newline="") as fh:
@@ -304,7 +322,7 @@ class TestWriteRows:
             assert rec["class"] == table["class"][i]
 
     def test_json_output(self, tmp_path):
-        table, _ = experiments.run_ensemble(small_config(count=3))
+        table, _ = experiments.run_ensemble(**small_config(n=3))
         path = tmp_path / "x.json"
         experiments.write_rows(path, table, experiments.CSV_COLUMNS, fmt="json")
         data = json.loads(path.read_text())
@@ -330,7 +348,7 @@ class TestWriteRows:
             experiments.format_rows({}, [], "xml")
 
     def test_unknown_format_leaves_existing_file(self, tmp_path):
-        table, _ = experiments.run_ensemble(small_config(count=3))
+        table, _ = experiments.run_ensemble(**small_config(n=3))
         path = tmp_path / "x.csv"
         experiments.write_rows(path, table, experiments.CSV_COLUMNS)
         before = path.read_bytes()
@@ -398,7 +416,7 @@ def _with_metrics(rows, buildable, pivot):
         table = monogamy_table(np.stack([psi for _, psi in buildable]), pivot)
         labels = classify_gaps(table["gap_tight"], experiments.SATURATION_TOL)
         for j, (i, _) in enumerate(buildable):
-            rows[i].update({k: float(table[k][j]) for k in experiments._METRIC_KEYS},
+            rows[i].update({k: float(table[k][j]) for k in METRIC_KEYS},
                            **{"class": str(labels[j])})
     return rows
 
@@ -483,23 +501,20 @@ class TestByteIdentity:
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_ensembles(self, tmp_path, block_rows, family, n, seed, pivot, fmt):
-        config = experiments.EnsembleConfig(family=family, count=n, seed=seed, pivot=pivot)
-        table, _ = experiments.run_ensemble(config)
+        table, _ = experiments.run_ensemble(family, n, seed, pivot=pivot)
         want = _reference_bytes(_reference_ensemble(family, n, seed, pivot),
                                 experiments.CSV_COLUMNS, fmt)
         assert _written(tmp_path, table, experiments.CSV_COLUMNS, fmt) == want
 
     def test_one_row_json_ensemble(self, tmp_path, block_rows):
-        table, _ = experiments.run_ensemble(experiments.EnsembleConfig(family="haar", count=1,
-                                                                       seed=4))
+        table, _ = experiments.run_ensemble("haar", 1, 4)
         want = _reference_bytes(_reference_ensemble("haar", 1, 4, "A"),
                                 experiments.CSV_COLUMNS, "json")
         assert _written(tmp_path, table, experiments.CSV_COLUMNS, "json") == want
 
     def test_large_haar_ensemble_spans_blocks(self, tmp_path):
         n = experiments.WRITE_BLOCK_ROWS + 3
-        table, _ = experiments.run_ensemble(experiments.EnsembleConfig(family="haar", count=n,
-                                                                       seed=11))
+        table, _ = experiments.run_ensemble("haar", n, 11)
         want = _reference_bytes(_reference_ensemble("haar", n, 11, "A"),
                                 experiments.CSV_COLUMNS, "csv")
         assert _written(tmp_path, table, experiments.CSV_COLUMNS) == want
@@ -627,15 +642,15 @@ class TestCsvNumbers:
         assert text.splitlines()[1:] == ["%d" % v for v in k.tolist()]
 
     def test_one_row_table(self):
-        table, _ = experiments.run_ensemble(small_config(family="canonical-b", count=1))
+        table, _ = experiments.run_ensemble(**small_config(family="canonical-b", n=1))
         text = "".join(experiments.format_rows(table, experiments.CSV_COLUMNS, "csv"))
         assert text == _csv_reference(table, experiments.CSV_COLUMNS)
 
     def test_table_wholly_outside_the_fast_range(self):
-        table, _ = experiments.run_ensemble(small_config(family="canonical-a", count=50))
+        table, _ = experiments.run_ensemble(**small_config(family="canonical-a", n=50))
         for key in list(experiments._PARAM_KEYS) + ["theta"]:
             table[key] = table[key] * 1e3 + 10.0
-        for key in experiments._METRIC_KEYS:
+        for key in METRIC_KEYS:
             table[key] = table[key] * 1e-9 - 1e-300
         text = "".join(experiments.format_rows(table, experiments.CSV_COLUMNS, "csv"))
         assert text == _csv_reference(table, experiments.CSV_COLUMNS)

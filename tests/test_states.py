@@ -219,8 +219,7 @@ class TestStreamRebuild:
     def test_bell_p1_draws_equal_per_index_streams(self, seed):
         from qmono import experiments
 
-        table, _ = experiments.run_ensemble(
-            experiments.EnsembleConfig(family="bell-product", count=30, seed=seed))
+        table, _ = experiments.run_ensemble("bell-product", 30, seed)
         want = [float(states.RngState(seed, i).uniforms(1)[0]) for i in range(30)]
         assert table["p1"].tolist() == want
         np.testing.assert_array_equal(states.make_bell_product(table["p1"]),
