@@ -89,10 +89,8 @@ def _state_from_args(args) -> np.ndarray:
             raise ValueError(f"{family} requires --p1 --p2 --p3 --p4 (and --p5 or it "
                              "is derived from normalization)")
         if given[4] is None:
-            rest = sum(v * v for v in given[:4])
-            if rest > 1.0 + states.PARAM_NORM_TOL:
-                raise ValueError("p1..p4 already exceed normalization; no p5 exists")
-            given[4] = math.sqrt(max(1.0 - rest, 0.0))
+            # p1..p4 that overshoot leave p5 = 0 for make_canonical_a/b's norm check to refuse
+            given[4] = math.sqrt(max(states.p5_squared(*given[:4]), 0.0))
         make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
         return make(given, 0.0 if args.theta is None else args.theta)
     if family == "bell-product":
@@ -110,8 +108,7 @@ def cmd_analyze(args) -> int:
     label = classify(report, args.tol)
     _print_report(report, label, args.format, args.family if args.state is None else "file")
     if label == "violated":
-        print(f"invariant violation: gap_tight = {report.gap_tight!r}", file=sys.stderr)
-        return EXIT_INVARIANT
+        raise experiments.InvariantViolation(f"gap_tight = {report.gap_tight!r}")
     return EXIT_OK
 
 

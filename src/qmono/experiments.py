@@ -172,7 +172,7 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL,
             np.array([p2, p3, p4], dtype=np.float64), np.asarray(theta, dtype=np.float64)))
         if failure is not None:
             raise ValueError(failure[1])
-        p5sq = 1.0 - grid * grid - p2 * p2 - p3 * p3 - p4 * p4
+        p5sq = states.p5_squared(grid, p2, p3, p4)
         ok = (grid >= 0.0) & (p5sq >= 0.0)
         params = {"p1": grid, "p2": np.full(n, p2, dtype=np.float64),
                   "p3": np.full(n, p3, dtype=np.float64), "p4": np.full(n, p4, dtype=np.float64),

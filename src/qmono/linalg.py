@@ -1,11 +1,11 @@
 """Dense complex linear algebra for qubit-sized problems (dims 2, 4, 8).
 
-Everything here accepts stacked inputs: a matrix argument of shape
-(..., d, d) or a state vector of shape (..., 8) is processed along the
-leading axes in one vectorized pass.  The Hermitian eigensolve is
-numpy's LAPACK eigh, behind shape, finiteness and Hermiticity checks; a
-solver that fails to converge raises numpy.linalg.LinAlgError, a
-ValueError.
+Everything here accepts stacked inputs: a matrix of shape (..., d, d) or
+a state of shape (..., d), d = 8 for three qubits and 4 for two, is
+processed along the leading axes in one vectorized pass.  The Hermitian
+eigensolve is numpy's LAPACK eigh, behind shape, finiteness and
+Hermiticity checks; a solver that fails to converge raises
+numpy.linalg.LinAlgError, a ValueError.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ __all__ = [
     "QUBIT_LABELS",
     "SIGMA_Y",
     "SPIN_FLIP_4",
-    "state_tensor",
+    "checked_norm2",
     "partial_trace",
     "hermitian_eigensystem",
 ]
@@ -31,7 +31,7 @@ SPIN_FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
 
 # Hermiticity acceptance threshold (max entrywise |m - m^dag|).
 HERMITIAN_TOL = 1e-10
-# Norm window: every state entry point requires |norm(psi) - 1| <= NORM_TOL.
+# Norm window: every state entry point requires |norm(psi) - 1| <= NORM_TOL (checked_norm2).
 NORM_TOL = 1e-6
 
 
@@ -46,21 +46,23 @@ def _as_matrix(m, name="matrix"):
     return a
 
 
-def state_tensor(psi):
-    """Validated (..., 2, 2, 2) amplitude tensor of a state stack and <psi|psi>.
+def checked_norm2(psi, size=8):
+    """<psi|psi> of a state stack, after the one check every state entry point makes.
 
-    Rejects a last axis other than 8, non-finite amplitudes and norms
-    outside the NORM_TOL window.  Axis k of the tensor is qubit k.
+    Rejects a last axis other than `size`, non-finite amplitudes and norms
+    outside the NORM_TOL window.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape[-1] != 8:
-        raise ValueError(f"state must have 8 amplitudes, got {psi.shape[-1]}")
+    if psi.shape[-1] != size:
+        raise ValueError(f"state must have {size} amplitudes, got {psi.shape[-1]}")
     if not np.isfinite(psi).all():
         raise ValueError("state contains non-finite amplitudes")
     norm2 = (np.abs(psi) ** 2).sum(axis=-1)
-    if (np.abs(np.sqrt(norm2) - 1.0) > NORM_TOL).any():
-        raise ValueError("state is not normalized within tolerance")
-    return psi.reshape(psi.shape[:-1] + (2, 2, 2)), norm2
+    norm = np.sqrt(norm2)
+    bad = np.abs(norm - 1.0) > NORM_TOL
+    if bad.any():
+        raise ValueError(f"state is not normalized within tolerance: norm {float(norm[bad][0])!r}")
+    return norm2
 
 
 def _resolve(labels):
@@ -81,7 +83,8 @@ def partial_trace(psi, keep=("A", "B")):
     pos = _resolve(tuple(keep))
     if len(pos) not in (1, 2) or len(set(pos)) != len(pos):
         raise ValueError(f"keep must name one or two distinct qubits, got {keep!r}")
-    t, norm2 = state_tensor(psi)
+    norm2 = checked_norm2(psi)
+    t = np.asarray(psi, dtype=np.complex128).reshape(norm2.shape + (2, 2, 2))
     nb = t.ndim - 3
     rest = tuple(i for i in range(3) if i not in pos)
     order = tuple(range(nb)) + tuple(nb + i for i in pos + rest)

@@ -53,13 +53,12 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
-    NORM_TOL,
     QUBIT_LABELS,
     QUBIT_POSITION,
     SPIN_FLIP_4,
+    checked_norm2,
     hermitian_eigensystem,
     partial_trace,
-    state_tensor,
 )
 
 __all__ = [
@@ -142,12 +141,7 @@ def concurrence_mixed(rho):
 def concurrence_pure_2q(psi4):
     """Concurrence of a pure two-qubit state, |<psi| sigma_y x sigma_y |conj(psi)>|."""
     psi4 = np.asarray(psi4, dtype=np.complex128)
-    if psi4.shape[-1] != 4:
-        raise ValueError(f"need 4 amplitudes, got shape {psi4.shape}")
-    norm = np.sqrt(np.sum(np.abs(psi4) ** 2, axis=-1))
-    if np.any(np.abs(norm - 1.0) > NORM_TOL):
-        raise ValueError("state is not normalized within tolerance")
-    psi4 = psi4 / norm[..., None]
+    psi4 = psi4 / np.sqrt(checked_norm2(psi4, size=4))[..., None]
     overlap = 2.0 * np.abs(psi4[..., 0] * psi4[..., 3] - psi4[..., 1] * psi4[..., 2])
     return np.clip(overlap, 0.0, 1.0)
 
@@ -202,7 +196,7 @@ def pure_state_invariants(psi, pivot="A"):
     """
     pair1, pair2 = pivot_pairs(pivot)
     psi = np.asarray(psi, dtype=np.complex128)
-    norm2 = state_tensor(psi)[1]
+    norm2 = checked_norm2(psi)
     norm4 = norm2 * norm2
     # the pair (X, Y) traces out Z and the pair (X, Z) traces out Y
     forms = {q: _flip_form(psi, QUBIT_POSITION[q]) for q in {pair1[1], pair2[1], "C"}}

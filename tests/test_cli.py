@@ -1,6 +1,7 @@
 """CLI behavior: output shapes, exit codes, determinism, figure artifacts."""
 
 import csv
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmono import cli, experiments, states
-from qmono.inequalities import build_report
+from qmono.inequalities import METRIC_KEYS, build_report
+
+from conftest import EDGE_STATE
 
 
 def run_cli(args):
@@ -75,6 +78,32 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["c2_abc"] > 0.5
 
+    def test_canonical_p5_is_the_scan_p5(self, capsys):
+        # figure 2's grid: every report equals its scan row bit for bit
+        table = experiments.run_scan("canonical-a", 0.4, 0.5, 101)
+        for i, p1 in enumerate(table["p1"]):
+            assert run_cli(["analyze", "--family", "canonical-a", "--p1", repr(float(p1)),
+                            "--p2", "0.17", "--p3", "0.16", "--p4", "0.15"]) == 0
+            payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+            assert {k: payload[k] for k in METRIC_KEYS} == {
+                k: float(table[k][i]) for k in METRIC_KEYS}, (i, p1)
+
+    def test_state_at_the_edge_of_the_norm_window(self, tmp_path, capsys):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(EDGE_STATE))
+        assert run_cli(["analyze", "--state", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        report = build_report(states.validate([complex(*pair) for pair in EDGE_STATE]))
+        assert {k: payload[k] for k in vars(report)} == vars(report)
+
+    def test_invariant_violation_exits_3_after_the_report(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_report", lambda psi, pivot: dataclasses.replace(
+            build_report(psi, pivot), gap_tight=-1.0))
+        assert run_cli(["analyze", "--family", "ghz"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "invariant violation: gap_tight = -1.0\n"
+        assert json.loads(captured.out.strip().splitlines()[-1])["class"] == "violated"
+
     def test_pivot_selects_split(self, capsys):
         run_cli(["analyze", "--family", "bell-product", "--p1", "0.5", "--pivot", "C"])
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -111,7 +140,7 @@ class TestAnalyze:
          "canonical-a requires --p1 --p2 --p3 --p4 (and --p5 or it is derived "
          "from normalization)"),
         (["--family", "canonical-b", "--p1", "0.9", "--p2", "0.9", "--p3", "0", "--p4", "0"],
-         "p1..p4 already exceed normalization; no p5 exists"),
+         "sum of squared parameters is 1.62, must be 1"),
     ])
     def test_missing_family_parameters_exit_2(self, capsys, flags, message):
         assert run_cli(["analyze", *flags]) == 2

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from qmono import linalg, measures, states
 
-from conftest import random_hermitian, random_pure_state
+from conftest import EDGE_STATE, random_hermitian, random_pure_state
 
 
 @pytest.mark.parametrize("check, dim", [
-    (linalg.state_tensor, 8),
+    (linalg.checked_norm2, 8),
     (states.validate, 8),
     (measures.concurrence_pure_2q, 4),
-], ids=["state_tensor", "validate", "concurrence_pure_2q"])
+], ids=["checked_norm2", "validate", "concurrence_pure_2q"])
 @pytest.mark.parametrize("excess, accepted", [
     (0.9e-6, True), (-0.9e-6, True), (1.1e-6, False), (-1.1e-6, False),
 ])
@@ -25,6 +25,14 @@ def test_one_norm_window(rng, check, dim, excess, accepted):
     else:
         with pytest.raises(ValueError, match="norm"):
             check(psi)
+
+
+def test_edge_of_window_is_one_check():
+    psi = np.array([complex(*pair) for pair in EDGE_STATE])
+    # np.linalg.norm rounds this state's norm out of the window
+    assert abs(np.linalg.norm(psi) - 1.0) > linalg.NORM_TOL
+    assert linalg.checked_norm2(psi) == np.sum(np.abs(psi) ** 2)
+    np.testing.assert_array_equal(states.validate(psi), psi / np.sqrt(linalg.checked_norm2(psi)))
 
 
 class TestBasics:

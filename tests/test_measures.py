@@ -188,6 +188,11 @@ class TestConcurrencePure2q:
         got = measures.concurrence_pure_2q(psis)
         np.testing.assert_allclose(got**2, det_concurrence(psis)[1], atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            measures.concurrence_pure_2q([bad, 0.0, 0.0, 0.0])
+
     def test_agrees_with_mixed_route_on_projector(self, rng):
         for _ in range(25):
             psi = random_pure_state(rng, 4)
@@ -239,7 +244,7 @@ class TestTangle:
 
     @pytest.mark.parametrize("traced", [0, 1, 2])
     def test_pair_index_reads_the_tensor_with_the_traced_axis_last(self, rng, traced):
-        # the amplitude tensor of state_tensor, axis `traced` moved last, flattened
+        # the (2, 2, 2) amplitude tensor, axis `traced` moved last, flattened
         psi = random_pure_state(rng, 8)
         want = np.moveaxis(psi.reshape(2, 2, 2), traced, -1).reshape(-1)
         assert np.array_equal(psi[list(measures._PAIR_INDEX[traced])], want)
