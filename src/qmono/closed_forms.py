@@ -41,7 +41,7 @@ def bell_product_closed_forms(p1):
 
 def _unpack(p):
     p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1] != 5:
+    if p.shape[-1:] != (5,):
         raise ValueError(f"need 5 parameters on the last axis, got shape {p.shape}")
     return p[..., 0], p[..., 1], p[..., 2], p[..., 3], p[..., 4]
 

@@ -98,11 +98,11 @@ def _ensemble_states(family, n, seed):
     if family == "haar":
         return states.sample_haar_batch(seed, n), {}
     if family in ("canonical-a", "canonical-b"):
-        p, theta = states.sample_canonical_batch(seed, n, family)
+        p, theta = states.sample_canonical_batch(seed, n)
         maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
         return maker(p, theta), {**dict(zip(_PARAM_KEYS, p.T)), "theta": theta}
     if family == "bell-product":
-        p1 = states.uniforms(seed, np.arange(n, dtype=np.uint64), 1)[:, 0]
+        p1 = states.uniforms(seed, n, 1)[:, 0]
         return states.make_bell_product(p1), {"p1": p1, "p2": 1.0 - p1}
     builder = states.make_ghz if family == "ghz" else states.make_w
     return np.tile(builder(), (n, 1)), {}
@@ -396,7 +396,7 @@ def run_discrepancy(family, n=200, seed=0):
     make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
     cand = (closed_forms.canonical_a_candidates if family == "canonical-a"
             else closed_forms.canonical_b_candidates)
-    p, theta = states.sample_canonical_batch(seed, n, family)
+    p, theta = states.sample_canonical_batch(seed, n)
     # (candidates, numerical truth) at the sampled theta and at theta = 0
     runs = {zero: (cand(p, th), monogamy_table(make(p, th), "A"))
             for zero, th in ((False, theta), (True, 0.0))}

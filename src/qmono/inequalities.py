@@ -157,7 +157,10 @@ def _signed_root(c2: float) -> float:
 
 def build_report(psi, pivot: str = "A") -> MonogamyReport:
     """One row of monogamy_table as a MonogamyReport; classify labels it."""
-    table = monogamy_table(np.asarray(psi, dtype=np.complex128)[None, :], pivot)
+    psi = np.asarray(psi, dtype=np.complex128)
+    if psi.ndim != 1:
+        raise ValueError(f"build_report takes one state, got shape {psi.shape}")
+    table = monogamy_table(psi[None, :], pivot)
     vals = {k: float(v[0]) for k, v in table.items()}
     return MonogamyReport(
         pivot=pivot,

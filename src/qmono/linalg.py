@@ -53,8 +53,8 @@ def checked_norm2(psi, size=8):
     outside the NORM_TOL window.
     """
     psi = np.asarray(psi, dtype=np.complex128)
-    if psi.shape[-1] != size:
-        raise ValueError(f"state must have {size} amplitudes, got {psi.shape[-1]}")
+    if psi.shape[-1:] != (size,):
+        raise ValueError(f"state must have {size} amplitudes, got shape {psi.shape}")
     if not np.isfinite(psi).all():
         raise ValueError("state contains non-finite amplitudes")
     norm2 = (np.abs(psi) ** 2).sum(axis=-1)

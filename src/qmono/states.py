@@ -116,38 +116,27 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
-def _check_indices(indices) -> np.ndarray:
-    """Stream indices as uint64, rejected unless each fits in an unsigned 64-bit integer."""
-    if isinstance(indices, np.ndarray) and indices.dtype.kind in "iu":
-        if indices.dtype.kind == "i" and np.any(indices < 0):
-            raise ValueError("stream indices must fit in an unsigned 64-bit integer")
-        return indices.astype(np.uint64)
-    # Python ints beyond the int64 range would turn a plain asarray into floats
-    items = np.asarray(indices, dtype=object)
-    if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) and 0 <= i < 2**64
-               for i in items.flat):
-        raise ValueError("stream indices must fit in an unsigned 64-bit integer")
-    return items.astype(np.uint64)
+def uniforms(seed: int, n: int, k: int) -> np.ndarray:
+    """The first k doubles of RngState(seed, i).uniforms for every stream i < n.
 
-
-def uniforms(seed: int, indices, k: int) -> np.ndarray:
-    """The first k doubles of RngState(seed, i).uniforms for every index i.
-
-    Shape np.shape(indices) + (k,), bit for bit what the per-index
-    generators give, computed for all indices at once: the SeedSequence
-    pool, generate_state(4, uint64), the PCG64 seeding and k XSL-RR outputs
-    turned into doubles as random() does.
-    The seed words are the same for every index, so their part of the pool
-    is mixed once in Python integers; the spawn words (one, or two for an
-    index of 2**32 or more) are mixed in as arrays.  The 128-bit LCG state
-    is two uint64 arrays (hi, lo): a step is lo * mult + inc on wrapping
-    uint64 products plus the carries into hi, and only the high half of
+    Shape (n, k), bit for bit what the per-index generators give, computed
+    for all streams at once: the SeedSequence pool, generate_state(4,
+    uint64), the PCG64 seeding and k XSL-RR outputs turned into doubles as
+    random() does.
+    The seed words are the same for every stream, so their part of the
+    pool is mixed once in Python integers; every index is below 2**32,
+    one spawn word, mixed in as an array.  The 128-bit LCG state is two
+    uint64 arrays (hi, lo): a step is lo * mult + inc on wrapping uint64
+    products plus the carries into hi, and only the high half of
     lo * mult_lo is formed from 32-bit halves.
     """
     seed = _check_seed(seed)
-    checked = _check_indices(indices)
-    # flat so that every step is array arithmetic, which wraps without a warning
-    idx = checked.reshape(-1)
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"stream count must be an integer, got {n!r}")
+    if not 0 <= n <= 2**32:
+        raise ValueError(f"stream count must lie in [0, 2**32], got {n}")
+    # array arithmetic throughout, which wraps without a warning
+    idx = np.arange(n, dtype=np.uint64)
     consts = _hash_consts(_INIT_A, _MULT_A)
     # the seed's words, zero-padded to the pool size because a spawn key follows
     pool = [_hash(w, consts) for w in (seed & _MASK32, seed >> 32, 0, 0)]
@@ -155,11 +144,7 @@ def uniforms(seed: int, indices, k: int) -> np.ndarray:
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
-    lo, hi = idx & _MASK32, idx >> 32
-    pool = [_mix(np.full(idx.shape, p, dtype=np.uint64), _hash(lo, consts)) for p in pool]
-    two_words = hi != 0
-    if np.any(two_words):
-        pool = [np.where(two_words, _mix(p, _hash(hi, consts)), p) for p in pool]
+    pool = [_mix(np.full(n, p, dtype=np.uint64), _hash(idx, consts)) for p in pool]
 
     consts = _hash_consts(_INIT_B, _MULT_B)
     w = [_hash(pool[j % 4], consts) for j in range(8)]
@@ -170,15 +155,15 @@ def uniforms(seed: int, indices, k: int) -> np.ndarray:
     # seeding sets state = inc + init_state and takes one LCG step
     lo = inc_lo + init_lo
     hi, lo = _pcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
-    # one C-contiguous row per index: batched samplers sum along the last
+    # one C-contiguous row per stream: batched samplers sum along the last
     # axis, and another memory layout would change their summation order
-    out = np.empty(idx.shape + (int(k),))
+    out = np.empty((n, int(k)))
     for t in range(int(k)):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> _SHIFT_58
         x = (x >> rot) | (x << ((_SHIFT_64 - rot) & _SHIFT_63))
         out[:, t] = (x >> _SHIFT_11) * (1.0 / 9007199254740992.0)
-    return out.reshape(checked.shape + (int(k),))
+    return out
 
 
 class RngState:
@@ -347,7 +332,7 @@ def sample_haar_batch(seed: int, n: int) -> np.ndarray:
     the 16 uniforms of every index come from one vectorized pass of
     `uniforms`.  Rejects the same seeds as RngState.
     """
-    return _haar_states(uniforms(seed, np.arange(int(n), dtype=np.uint64), 16))
+    return _haar_states(uniforms(seed, int(n), 16))
 
 
 def _check_canonical_family(family):
@@ -380,13 +365,13 @@ def sample_canonical(rng: RngState, family: str) -> CanonicalParams:
     return CanonicalParams(tuple(p.tolist()), float(theta))
 
 
-def sample_canonical_batch(seed: int, n: int, family: str):
+def sample_canonical_batch(seed: int, n: int):
     """p (n, 5) and theta (n,) of sample_canonical(RngState(seed, i), family), i < n.
 
-    Bitwise the per-index samples, drawn in one pass of `uniforms`.
+    Both canonical families draw the same parameters.  Bitwise the
+    per-index samples, drawn in one pass of `uniforms`.
     """
-    _check_canonical_family(family)
-    return _simplex_params(uniforms(seed, np.arange(int(n), dtype=np.uint64), 5))
+    return _simplex_params(uniforms(seed, int(n), 5))
 
 
 def read_state_file(path) -> np.ndarray:
@@ -410,8 +395,12 @@ def read_state_file(path) -> np.ndarray:
 
 
 def write_state_file(path, psi) -> None:
-    """Write a state as the JSON array format accepted by read_state_file."""
+    """Write a state as the JSON array format accepted by read_state_file.
+
+    The amplitudes are written as given, once validate accepts them.
+    """
     psi = np.asarray(psi, dtype=np.complex128)
+    validate(psi)
     data = [[float(a.real), float(a.imag)] for a in psi]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)

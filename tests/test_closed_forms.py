@@ -109,3 +109,9 @@ class TestCanonicalB:
     def test_rejects_wrong_parameter_count(self):
         with pytest.raises(ValueError):
             closed_forms.canonical_b_candidates(np.ones(4))
+
+    @pytest.mark.parametrize("candidates", [closed_forms.canonical_a_candidates,
+                                            closed_forms.canonical_b_candidates])
+    def test_rejects_scalar_parameters(self, candidates):
+        with pytest.raises(ValueError, match=r"got shape \(\)"):
+            candidates(0.5)

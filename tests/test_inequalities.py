@@ -105,6 +105,10 @@ class TestTableAndReport:
         with pytest.raises(ValueError):
             inequalities.monogamy_table(random_pure_state(rng, 8, batch=(2,)), "X")
 
+    def test_report_takes_one_state(self, rng):
+        with pytest.raises(ValueError, match=r"got shape \(2, 8\)"):
+            inequalities.build_report(random_pure_state(rng, 8, batch=(2,)))
+
 
 REPORT_FIELDS = ("c2_ab", "c2_ac", "c2_abc", "tau", "rhs_fei", "rhs_tight", "gap_fei", "gap_tight")
 STATE_KINDS = ("haar", "canonical-a", "canonical-a theta=0", "canonical-b", "canonical-b theta=0",

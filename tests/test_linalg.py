@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmono import linalg, measures, states
+from qmono import inequalities, linalg, measures, states
 
 from conftest import EDGE_STATE, random_hermitian, random_pure_state
 
@@ -25,6 +25,15 @@ def test_one_norm_window(rng, check, dim, excess, accepted):
     else:
         with pytest.raises(ValueError, match="norm"):
             check(psi)
+
+
+@pytest.mark.parametrize("entry", [
+    linalg.checked_norm2, linalg.partial_trace, states.validate, measures.concurrence_pure_2q,
+    measures.pure_state_invariants, inequalities.monogamy_table,
+])
+def test_zero_d_state_is_a_value_error(entry):
+    with pytest.raises(ValueError, match=r"amplitudes, got shape \(\)"):
+        entry(1.0)
 
 
 def test_edge_of_window_is_one_check():

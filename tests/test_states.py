@@ -139,62 +139,74 @@ class TestSampling:
 
 
 STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-# one spawn word below 2**32, two from 2**32 on
-STREAM_INDICES = [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
 
 
 class TestStreamRebuild:
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
     def test_bitwise_equal_to_rng_state(self, seed):
-        got = states.uniforms(seed, STREAM_INDICES, 9)
-        want = np.stack([states.RngState(seed, i).uniforms(9) for i in STREAM_INDICES])
-        assert got.shape == (len(STREAM_INDICES), 9)
+        got = states.uniforms(seed, 6, 9)
+        want = np.stack([states.RngState(seed, i).uniforms(9) for i in range(6)])
+        assert got.shape == (6, 9)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @given(seed=st.integers(0, 2**64 - 1),
-           indices=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8),
-           k=st.integers(1, 20))
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 64), k=st.integers(1, 20))
     @settings(max_examples=60, deadline=None)
-    def test_random_seeds_and_indices_equal_rng_state(self, seed, indices, k):
-        # uniform 64-bit words reach the LCG's carries that the fixed grid may miss
-        got = states.uniforms(seed, indices, k)
-        want = np.stack([states.RngState(seed, i).uniforms(k) for i in indices])
+    def test_random_seeds_and_indices_equal_rng_state(self, seed, n, k):
+        # uniform 64-bit seeds reach the LCG's carries that the fixed grid may miss
+        got = states.uniforms(seed, n, k)
+        want = np.stack([states.RngState(seed, i).uniforms(k) for i in range(n)])
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("seed", [1, 2**64 - 1])
+    def test_one_stream_without_warnings(self, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = states.uniforms(seed, 1, 3)
+        want = states.RngState(seed, 0).uniforms(3)
+        assert got.shape == (1, 3)
+        np.testing.assert_array_equal(got[0].view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("seed", [1, 2**64 - 1])
     @pytest.mark.parametrize("index", [5, np.uint64(2**64 - 1)])
     def test_scalar_index_gives_one_stream_without_warnings(self, seed, index):
+        # RngState, the scalar reference, takes any 64-bit index, numpy
+        # scalars included; the batch holds the streams below 2**32
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = states.uniforms(seed, index, 3)
+            got = states.RngState(seed, index).uniforms(3)
+            batch = states.uniforms(seed, 6, 3)
         want = states.RngState(seed, int(index)).uniforms(3)
-        assert got.shape == (3,)
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    def test_index_arrays_of_any_integer_type(self):
-        want = states.uniforms(5, [0, 3, 2**32 + 1], 4)
-        for dtype in (np.int64, np.uint64, np.uint32):
-            got = states.uniforms(5, np.array([0, 3, 2**32 + 1]).astype(dtype)[:2], 4)
-            np.testing.assert_array_equal(got, want[:2])
-        np.testing.assert_array_equal(states.uniforms(5, np.array([0, 3, 2**32 + 1]), 4), want)
+        if index < 2**32:
+            np.testing.assert_array_equal(batch[index].view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seeds_like_rng_state(self, seed):
         with pytest.raises(ValueError) as batch_err:
-            states.uniforms(seed, [0], 2)
+            states.uniforms(seed, 1, 2)
         with pytest.raises(ValueError) as single_err:
             states.RngState(seed, 0)
         assert str(batch_err.value) == str(single_err.value)
 
+    def test_stream_count_bounds(self):
+        # 2**32 + 1 streams would take an index of 2**32, a second spawn word
+        for n in (-1, 2**32 + 1):
+            with pytest.raises(ValueError, match="stream count"):
+                states.uniforms(0, n, 1)
+        assert states.uniforms(3, 0, 2).shape == (0, 2)
+
     @pytest.mark.parametrize("indices", [[-1], [2**64], np.array([-2, 0]), [0.5], [True]])
     def test_rejects_indices_outside_uint64(self, indices):
-        with pytest.raises(ValueError, match="unsigned 64-bit"):
-            states.uniforms(0, indices, 2)
+        # streams are addressed by count: an index array, or a count that is
+        # not an integer, is refused before anything is drawn
+        for n in (indices, indices[0]):
+            with pytest.raises(ValueError, match="stream count"):
+                states.uniforms(0, n, 2)
 
     @pytest.mark.parametrize("family", ["canonical-a", "canonical-b"])
     @pytest.mark.parametrize("seed", [0, 2024, 2**64 - 1])
     def test_canonical_batch_equals_per_index_specs(self, family, seed):
-        p, theta = states.sample_canonical_batch(seed, 40, family)
+        p, theta = states.sample_canonical_batch(seed, 40)
         maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
         support = (0, 1, 4, 6, 7) if family == "canonical-a" else (0, 1, 2, 4, 7)
         psis = maker(p, theta)
@@ -211,7 +223,7 @@ class TestStreamRebuild:
             np.testing.assert_array_equal(maker(spec.p, spec.theta), want)
 
     def test_canonical_batch_snapshot(self):
-        p, theta = states.sample_canonical_batch(2024, 1, "canonical-b")
+        p, theta = states.sample_canonical_batch(2024, 1)
         assert tuple(p[0].tolist()) == CANONICAL_B_2024_0["p"]
         assert theta[0] == CANONICAL_B_2024_0["theta"]
 
@@ -256,6 +268,15 @@ class TestValidateAndFiles:
         path = tmp_path / "state.json"
         states.write_state_file(path, psi)
         np.testing.assert_allclose(states.read_state_file(path), psi, atol=1e-15)
+
+    @pytest.mark.parametrize("psi", [[1, 0, 0], [2, 0, 0, 0, 0, 0, 0, 0],
+                                     [math.nan, 1, 0, 0, 0, 0, 0, 0]],
+                             ids=["three-amplitudes", "norm-2", "nan"])
+    def test_write_rejects_what_read_refuses(self, tmp_path, psi):
+        path = tmp_path / "state.json"
+        with pytest.raises(ValueError):
+            states.write_state_file(path, psi)
+        assert not path.exists()
 
     def test_read_rejects_wrong_shape(self, tmp_path):
         path = tmp_path / "bad.json"
