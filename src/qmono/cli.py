@@ -193,12 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
     """The argument tree, built on the first call and shared by later ones.
 
     Parsing leaves the tree unchanged (each call fills a fresh namespace),
-    so one process pays for building it once.
+    so one process pays for building it once. `commands` maps each
+    subcommand name to its parser.
     """
     parser = _Parser(prog="qmono",
                      description="Concurrence monogamy bounds for pure three-qubit states.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    parser.commands = sub.choices
 
     pa = sub.add_parser("analyze", help="report one state at one pivot")
     src = pa.add_mutually_exclusive_group(required=True)
@@ -254,15 +256,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv):
+    """`build_parser().parse_args(argv)` without the top level's scan of each string.
+
+    The top level passes every string after a subcommand name to that
+    subcommand's parser and reports what it leaves; any other argv takes
+    the full parse."""
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except experiments.InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -271,6 +271,71 @@ class TestParserReuse:
         assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["pivot"] == "C"
 
 
+# Argv the subcommand dispatch of `cli._parse_args` must read as the full parse does.
+_PARSED_ARGV = [
+    ["analyze", "--family", "ghz"],
+    ["analyze", "--fam", "w"],
+    ["analyze", "--family=ghz", "--pivot", "B"],
+    ["analyze", "--family", "canonical-a", "--p1", "0.4", "--p2", "0.17", "--p3", "0.16",
+     "--p4", "0.15", "--theta", "-5."],
+    ["analyze", "--family", "haar", "--seed", "3", "--format", "csv"],
+    ["analyze", "--state", "x.json", "--tol", "1e-6"],
+    ["ensemble", "--family", "haar", "--n", "5", "--out", "e.json", "--format", "json"],
+    ["scan", "--family", "bell-product", "--from", "-1e-3", "--to", "1", "--steps", "3",
+     "--out", "s.csv"],
+    ["scan", "--family", "canonical-a", "--from", "0", "--to", "1", "--steps", "11",
+     "--p2", "0.3", "--theta", "1.1", "--out", "f.csv"],
+    ["figures", "--which", "2", "--n", "5", "--out-dir", "figs", "--tol", "1e-8"],
+    ["discrepancy", "--family", "a", "--format", "json"],
+    ["discrepancy", "--family", "b", "--n", "20", "--seed", "5", "--out", "d.csv"],
+]
+
+# Argv that end in SystemExit: help, version, and usage errors at either level.
+_EXITING_ARGV = [
+    [], ["-h"], ["--version"], ["bogus"], ["--version", "analyze"],
+    ["analyze"], ["analyze", "-h"],
+    ["analyze", "--family", "ghz", "--version"],
+    ["analyze", "--family", "ghz", "extra"],
+    ["analyze", "--family", "ghz", "-x"],
+    ["analyze", "--family", "ghz", "--", "x"],
+    ["analyze", "--family", "nope"],
+    ["analyze", "--family", "ghz", "--state", "x.json"],
+    ["analyze", "--family", "bell-product", "--p1", "abc"],
+    ["analyze", "--family", "ghz", "--tol"],
+    ["scan", "--family", "bell-product"],
+]
+
+
+def _exit_of(call, argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        call(argv)
+    return (err.value.code, *capsys.readouterr())
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", _PARSED_ARGV, ids=" ".join)
+    def test_same_namespace_as_the_full_parse(self, argv):
+        assert vars(cli._parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", _EXITING_ARGV, ids=lambda argv: " ".join(argv) or "none")
+    def test_same_exit_as_the_full_parse(self, argv, capsys):
+        assert _exit_of(cli.main, argv, capsys) == _exit_of(cli.build_parser().parse_args,
+                                                            argv, capsys)
+
+    def test_no_argv_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.argv", ["qmono", "analyze", "--family", "ghz", "--pivot", "C"])
+        assert cli.main() == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["pivot"] == "C"
+        monkeypatch.setattr("sys.argv", ["qmono"])
+        assert _exit_of(cli.main, None, capsys)[0] == 1
+
+    def test_a_subcommand_skips_the_top_level_parse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parse_args called")
+        monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+        assert cli.main(["analyze", "--family", "ghz"]) == 0
+
+
 class TestNegativeNumbers:
     @given(st.from_regex(r"^-\d+$|^-\d*\.\d+$"))
     @settings(max_examples=100, deadline=None)
@@ -570,4 +635,19 @@ def test_accepted_argv_exits_0(tmp_path, capsys, argv):
 def test_nan_tol_gives_one_message_everywhere(tmp_path, capsys, argv):
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--tol", "nan"]) == 2
     assert capsys.readouterr() == ("", "error: tol must be finite, got nan\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# 10^17 float64 grid points or 10^16 states of 8 complex128 amplitudes: over
+# 700 PiB, beyond any address space, so numpy refuses at once.
+@pytest.mark.parametrize("argv", [
+    ["scan", "--family", "bell-product", "--from", "0", "--to", "1",
+     "--steps", str(10**17), "--out", "{tmp}/s.csv"],
+    ["figures", "--which", "2", "--n", str(10**17), "--out-dir", "{tmp}/figs"],
+    ["ensemble", "--family", "ghz", "--n", str(10**16), "--out", "{tmp}/g.csv"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_allocation_numpy_refuses_exits_2(tmp_path, capsys, argv):
+    assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: Unable to allocate")
     assert list(tmp_path.iterdir()) == []

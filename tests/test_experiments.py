@@ -43,7 +43,7 @@ class TestFormatting:
         assert experiments.format_number(None) == ""
 
 
-class TestEnsembleConfig:
+class TestRunEnsembleArguments:
     """run_ensemble's argument checks."""
 
     def test_rejects_unknown_family(self):
