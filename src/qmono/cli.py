@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -90,7 +89,7 @@ def _state_from_args(args) -> np.ndarray:
                              "is derived from normalization)")
         if given[4] is None:
             # p1..p4 that overshoot leave p5 = 0 for make_canonical_a/b's norm check to refuse
-            given[4] = math.sqrt(max(states.p5_squared(*given[:4]), 0.0))
+            given[4] = states.normalizing_p5(*given[:4])
         make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
         return make(given, 0.0 if args.theta is None else args.theta)
     if family == "bell-product":

@@ -29,7 +29,7 @@ import numpy as np
 from . import closed_forms, states, svgplot
 from .inequalities import METRIC_KEYS, SATURATION_TOL, _check_tol, classify_gaps, monogamy_table
 from .numtext import _percent_text, byte_rows, float_text, int_text
-from .states import _first_failure
+from .states import _raise_first_failure
 
 __all__ = [
     "CSV_COLUMNS",
@@ -116,8 +116,7 @@ def run_ensemble(family, n, seed, pivot="A", tolerance=SATURATION_TOL):
     """
     if family not in states.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    states._check_count(n, "n", 1)
     # ghz and w sample nothing, but take the seeds every family takes
     states._check_seed(seed)
     _check_tol(tolerance)
@@ -140,16 +139,17 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL,
 
     For the canonical families p2, p3, p4 and theta are held fixed (each
     one not given takes its SWEEP_DEFAULTS value; a bell-product scan takes
-    none, since p2 is 1 - p1) and p5 is determined by normalization,
-    which is the only way p1 and p5 can vary together over a rectangle
-    while the states stay normalized.  `feasible` marks the points with a
-    state; at the others the metric columns (and p5) hold NaN placeholders,
-    which no writer and no check reads.
+    none, since p2 is 1 - p1) and p5 is `states.normalizing_p5`, which is
+    the only way p1 and p5 can vary together over a rectangle while the
+    states stay normalized.  A point is feasible exactly where the family's
+    builder would accept its parameters: scan asks the builder's own check
+    list, so it agrees with `analyze` by construction.  `feasible` marks
+    the points with a state; at the others the metric columns (and p5)
+    hold NaN placeholders, which no writer and no check reads.
     """
     if family not in ("bell-product", "canonical-a", "canonical-b"):
         raise ValueError(f"scan supports bell-product and canonical families, got {family!r}")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    states._check_count(steps, "steps", 2)
     # the grid steps by (to - from) / (steps - 1), so that span must be finite too
     for name, bound in (("from", lo), ("to", hi), ("to - from", float(hi) - float(lo))):
         if not np.isfinite(bound):
@@ -159,31 +159,28 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL,
     if family == "bell-product" and given:
         raise ValueError(f"a bell-product scan takes no fixed coefficients, got {next(iter(given))}")
     p2, p3, p4, theta = {**SWEEP_DEFAULTS, **given}.values()
-    n = int(steps)
-    grid = np.linspace(float(lo), float(hi), n)
+    grid = np.linspace(float(lo), float(hi), steps)
     if family == "bell-product":
-        ok = (0.0 <= grid) & (grid <= 1.0)
+        ok = ~states._failing(states._bell_checks(grid))
         params = {"p1": grid, "p2": 1.0 - grid}
         note = "infeasible: p1 outside [0, 1]"
         psis = states.make_bell_product(grid[ok])
     else:
         # checked here, since a grid without a feasible point builds no state to check them
-        failure = _first_failure(states._entry_checks(
+        _raise_first_failure(states._entry_checks(
             np.array([p2, p3, p4], dtype=np.float64), np.asarray(theta, dtype=np.float64)))
-        if failure is not None:
-            raise ValueError(failure[1])
-        p5sq = states.p5_squared(grid, p2, p3, p4)
-        ok = (grid >= 0.0) & (p5sq >= 0.0)
-        params = {"p1": grid, "p2": np.full(n, p2, dtype=np.float64),
-                  "p3": np.full(n, p3, dtype=np.float64), "p4": np.full(n, p4, dtype=np.float64),
-                  "p5": np.sqrt(np.where(ok, p5sq, np.nan)),
-                  "theta": np.full(n, theta, dtype=np.float64)}
-        note = "infeasible: no normalized state for this p1"
+        p5 = states.normalizing_p5(grid, p2, p3, p4)
+        p = np.stack(np.broadcast_arrays(grid, p2, p3, p4, p5), axis=-1)
+        ok = ~states._failing(states._canonical_checks(p, theta))
         maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
-        psis = maker(np.stack([params[k][ok] for k in _PARAM_KEYS], axis=-1), params["theta"][ok])
-    table = {"index": np.arange(n), "family": np.full(n, family), **params,
-             **{k: np.full(n, np.nan) for k in METRIC_KEYS},
-             "class": np.full(n, "", dtype=object), "note": np.where(ok, "", note), "feasible": ok}
+        psis = maker(p[ok], theta)
+        p[~ok, 4] = np.nan
+        params = {**dict(zip(_PARAM_KEYS, p.T)), "theta": np.full(steps, theta, dtype=np.float64)}
+        note = "infeasible: no normalized state for this p1"
+    table = {"index": np.arange(steps), "family": np.full(steps, family), **params,
+             **{k: np.full(steps, np.nan) for k in METRIC_KEYS},
+             "class": np.full(steps, "", dtype=object), "note": np.where(ok, "", note),
+             "feasible": ok}
     if ok.any():
         for key, values in _metric_columns(psis, pivot, tolerance).items():
             table[key][ok] = values
@@ -216,6 +213,7 @@ def run_figure(which, seed, n=100, pivot="A", tolerance=SATURATION_TOL):
         raise ValueError(f"figure must be one of {sorted(_FIGURES)}, got {which!r}")
     family, mode, keys = _FIGURES[which]
     least = 1 if mode == "ensemble" else 2  # samples, or grid points of the p1 sweep
+    states._check_count(n, "--n")
     if n < least:
         raise ValueError(f"--n must be at least {least} for figure {which}, got {n}")
     # figure 2 samples nothing, but takes the seeds every figure takes
@@ -257,10 +255,9 @@ def validate_rows(table):
                        lambda i, key=key, col=col: f"{key} = {float(col[i])!r} outside [0, 1]"))
     checks.append((table["class"] == "violated",
                    lambda i: f"negative tight gap {gap_tight[i]:.3e} beyond tolerance"))
-    failure = _first_failure([(live & mask, message) for mask, message in checks])
-    if failure is not None:
-        row, message = failure
-        raise InvariantViolation(f"row {int(table['index'][row])}: {message}")
+    _raise_first_failure([(live & mask, message) for mask, message in checks],
+                         lambda row, message: InvariantViolation(
+                             f"row {int(table['index'][row])}: {message}"))
 
 
 def _csv_field(text: str) -> str:
@@ -391,8 +388,7 @@ def run_discrepancy(family, n=200, seed=0):
     """
     if family not in _AUDIT_VARIANT:
         raise ValueError(f"discrepancy supports the canonical families, got {family!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    states._check_count(n, "n", 1)
     make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
     cand = (closed_forms.canonical_a_candidates if family == "canonical-a"
             else closed_forms.canonical_b_candidates)

@@ -57,7 +57,8 @@ def checked_norm2(psi, size=8):
         raise ValueError(f"state must have {size} amplitudes, got shape {psi.shape}")
     if not np.isfinite(psi).all():
         raise ValueError("state contains non-finite amplitudes")
-    norm2 = (np.abs(psi) ** 2).sum(axis=-1)
+    with np.errstate(over="ignore"):  # an inf norm fails the window below
+        norm2 = (np.abs(psi) ** 2).sum(axis=-1)
     norm = np.sqrt(norm2)
     bad = np.abs(norm - 1.0) > NORM_TOL
     if bad.any():

@@ -30,7 +30,7 @@ __all__ = [
     "make_bell_product",
     "make_canonical_a",
     "make_canonical_b",
-    "p5_squared",
+    "normalizing_p5",
     "sample_haar",
     "sample_haar_batch",
     "sample_canonical",
@@ -116,6 +116,14 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
+def _check_count(n, name, least=None):
+    """Reject a count that is not an integer (a bool is not one), or one below `least`."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if least is not None and n < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
 def uniforms(seed: int, n: int, k: int) -> np.ndarray:
     """The first k doubles of RngState(seed, i).uniforms for every stream i < n.
 
@@ -131,8 +139,7 @@ def uniforms(seed: int, n: int, k: int) -> np.ndarray:
     lo * mult_lo is formed from 32-bit halves.
     """
     seed = _check_seed(seed)
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"stream count must be an integer, got {n!r}")
+    _check_count(n, "stream count")
     if not 0 <= n <= 2**32:
         raise ValueError(f"stream count must lie in [0, 2**32], got {n}")
     # array arithmetic throughout, which wraps without a warning
@@ -208,21 +215,36 @@ def make_w() -> np.ndarray:
     return psi
 
 
-def _first_failure(checks):
-    """(row, message) of the first row failing a check, or None if all pass.
+# A check list is (boolean array over the rows, message of row r) pairs in
+# the order the checks apply; the arrays broadcast together and r is a flat
+# row index.
+def _failing(checks):
+    """The rows failing any check of a check list."""
+    return functools.reduce(np.logical_or, [mask for mask, _ in checks])
 
-    `checks` are (boolean array over the rows, message of row r) pairs in
-    the order they apply; the arrays broadcast together and r is a flat
-    row index.  The message is that of the row's first failed check, so a
-    batch reports what checking its rows one by one would have reported.
+
+def _raise_first_failure(checks, error=lambda row, message: ValueError(message)):
+    """Raise error(row, message) for the first row failing a check, if any.
+
+    The message is that of the row's first failed check, so a batch
+    reports what checking its rows one by one would have reported.
     """
-    masks = [mask for mask, _ in checks]
-    bad = functools.reduce(np.logical_or, masks)
+    bad = _failing(checks)
     if not bad.any():
-        return None
-    masks = np.broadcast_arrays(*masks)
+        return
+    masks = np.broadcast_arrays(*[mask for mask, _ in checks])
     row = int(np.argmax(bad.reshape(-1)))
-    return row, next(msg(row) for mask, (_, msg) in zip(masks, checks) if mask.reshape(-1)[row])
+    message = next(msg(row) for mask, (_, msg) in zip(masks, checks) if mask.reshape(-1)[row])
+    raise error(row, message)
+
+
+def _bell_checks(p1):
+    """The check list of Bell weights p1 (a float64 array): each in [0, 1].
+
+    The one rule of which weights make a state, for make_bell_product and scan.
+    """
+    return [(~((0.0 <= p1) & (p1 <= 1.0)),
+             lambda r: f"p1 must lie in [0, 1], got {float(p1.flat[r])!r}")]
 
 
 def make_bell_product(p1):
@@ -232,10 +254,7 @@ def make_bell_product(p1):
     weights gives one state per weight, shape (..., 8).
     """
     p1 = np.asarray(p1, dtype=np.float64)
-    failure = _first_failure([(~((0.0 <= p1) & (p1 <= 1.0)),
-                               lambda r: f"p1 must lie in [0, 1], got {float(p1.flat[r])!r}")])
-    if failure is not None:
-        raise ValueError(failure[1])
+    _raise_first_failure(_bell_checks(p1))
     psi = np.zeros(p1.shape + (8,), dtype=np.complex128)
     half = np.sqrt(p1 / 2.0)
     psi[..., 2] = half
@@ -245,7 +264,7 @@ def make_bell_product(p1):
 
 
 def _entry_checks(p, theta):
-    """The _first_failure checks on single entries of parameter rows p (..., k)
+    """The check list of single entries of parameter rows p (..., k)
     and angles theta: amplitudes finite and non-negative, theta in [0, pi)."""
     return [(np.any(p < 0.0, axis=-1) | ~np.all(np.isfinite(p), axis=-1),
              lambda r: "canonical parameters must be finite and non-negative"),
@@ -253,36 +272,45 @@ def _entry_checks(p, theta):
              lambda r: f"theta must lie in [0, pi), got {float(theta.flat[r])!r}")]
 
 
-def _check_canonical_params(p, theta):
-    """Parameter rows p (..., 5) and angles theta, checked row by row."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape[-1:] != (5,):
-        raise ValueError(f"need 5 canonical parameters, got shape {p.shape}")
-    s, theta = np.broadcast_arrays(np.sum(p * p, axis=-1), np.asarray(theta, dtype=np.float64))
+def _canonical_checks(p, theta):
+    """The check list of float64 parameter rows p (..., 5) and angles theta.
+
+    Entries finite and non-negative, squares summing to 1 within
+    PARAM_NORM_TOL, theta in [0, pi): the one rule of which parameters
+    make a canonical state, for make_canonical_a/b and scan.  A square too
+    large for a double makes the sum inf, which the norm check refuses.
+    """
+    with np.errstate(over="ignore"):
+        s = np.sum(p * p, axis=-1)
+    s, theta = np.broadcast_arrays(s, np.asarray(theta, dtype=np.float64))
     signs, angles = _entry_checks(p, theta)
-    failure = _first_failure([
-        signs,
-        (np.abs(s - 1.0) > PARAM_NORM_TOL,
-         lambda r: f"sum of squared parameters is {float(s.flat[r])!r}, must be 1"),
-        angles,
-    ])
-    if failure is not None:
-        raise ValueError(failure[1])
-    return p, theta
+    return [signs,
+            (np.abs(s - 1.0) > PARAM_NORM_TOL,
+             lambda r: f"sum of squared parameters is {float(s.flat[r])!r}, must be 1"),
+            angles]
 
 
 def _canonical(indices, p, theta):
-    p, theta = _check_canonical_params(p, theta)
+    p = np.asarray(p, dtype=np.float64)
+    if p.shape[-1:] != (5,):
+        raise ValueError(f"need 5 canonical parameters, got shape {p.shape}")
+    theta = np.asarray(theta, dtype=np.float64)
+    _raise_first_failure(_canonical_checks(p, theta))
     phase = np.cos(theta) + 1j * np.sin(theta)
-    psi = np.zeros(theta.shape + (8,), dtype=np.complex128)
+    psi = np.zeros(np.broadcast_shapes(p.shape[:-1], theta.shape) + (8,), dtype=np.complex128)
     psi[..., indices[0]] = p[..., 0] * phase
     psi[..., list(indices[1:])] = p[..., 1:]
     return psi
 
 
-def p5_squared(p1, p2, p3, p4):
-    """The p5^2 that normalizes a canonical state, subtracted left to right."""
-    return 1.0 - p1 * p1 - p2 * p2 - p3 * p3 - p4 * p4
+def normalizing_p5(p1, p2, p3, p4):
+    """The p5 that normalizes a canonical state: sqrt(max(1 - p1^2 - ... - p4^2, 0)).
+
+    Subtracted left to right.  Where p1..p4 overshoot, p5 is 0 and the
+    canonical norm check decides; a square too large for a double gives 0.
+    """
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.maximum(1.0 - p1 * p1 - p2 * p2 - p3 * p3 - p4 * p4, 0.0))
 
 
 def make_canonical_a(p, theta=0.0) -> np.ndarray:
@@ -332,7 +360,7 @@ def sample_haar_batch(seed: int, n: int) -> np.ndarray:
     the 16 uniforms of every index come from one vectorized pass of
     `uniforms`.  Rejects the same seeds as RngState.
     """
-    return _haar_states(uniforms(seed, int(n), 16))
+    return _haar_states(uniforms(seed, n, 16))
 
 
 def _check_canonical_family(family):
@@ -371,7 +399,7 @@ def sample_canonical_batch(seed: int, n: int):
     Both canonical families draw the same parameters.  Bitwise the
     per-index samples, drawn in one pass of `uniforms`.
     """
-    return _simplex_params(uniforms(seed, int(n), 5))
+    return _simplex_params(uniforms(seed, n, 5))
 
 
 def read_state_file(path) -> np.ndarray:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -87,6 +88,41 @@ class TestAnalyze:
             payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
             assert {k: payload[k] for k in METRIC_KEYS} == {
                 k: float(table[k][i]) for k in METRIC_KEYS}, (i, p1)
+
+    def test_scan_point_is_the_analyze_state_on_unit_quadruples(self):
+        # every two-decimal (p1, p2, p3, p4) in [0, 1] with squares summing to exactly 1:
+        # p5 is 0 up to roundoff, and scan takes the builders' verdict on it as analyze does
+        quads = []
+        for a in range(101):
+            for b in range(math.isqrt(10000 - a * a) + 1):
+                for c in range(math.isqrt(10000 - a * a - b * b) + 1):
+                    rest = 10000 - a * a - b * b - c * c
+                    if math.isqrt(rest) ** 2 == rest:
+                        quads.append((a, b, c, math.isqrt(rest)))
+        assert len(quads) == 1217
+        parser = cli.build_parser()
+        for i, quad in enumerate(quads):
+            family = ("canonical-a", "canonical-b")[i % 2]
+            p1, p2, p3, p4 = (v / 100 for v in quad)
+            table = experiments.run_scan(family, p1, p1 + 0.5, 2, p2=p2, p3=p3, p4=p4)
+            args = parser.parse_args(["analyze", "--family", family, "--p1", str(p1),
+                                      "--p2", str(p2), "--p3", str(p3), "--p4", str(p4)])
+            report = build_report(cli._state_from_args(args), "A")
+            assert table["feasible"][0], quad
+            assert [float(table[k][0]).hex() for k in METRIC_KEYS] == [
+                float(getattr(report, k)).hex() for k in METRIC_KEYS], quad
+
+    def test_overflowing_amplitudes_exit_2(self, tmp_path, capsys):
+        # the squared norm overflows to inf without a warning and fails the norm window
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([[1e200, 1e200]] * 8))
+        assert run_cli(["analyze", "--state", str(path)]) == 2
+        assert capsys.readouterr().err == "error: state is not normalized within tolerance: norm inf\n"
+
+    def test_overflowing_canonical_parameter_exits_2(self, capsys):
+        assert run_cli(["analyze", "--family", "canonical-a", "--p1", "1e200", "--p2", "0",
+                        "--p3", "0", "--p4", "0"]) == 2
+        assert capsys.readouterr().err == "error: sum of squared parameters is inf, must be 1\n"
 
     def test_state_at_the_edge_of_the_norm_window(self, tmp_path, capsys):
         path = tmp_path / "edge.json"
@@ -445,6 +481,31 @@ class TestScan:
             rows = list(csv.DictReader(fh))
         assert rows[-1]["note"].startswith("infeasible")
         assert rows[-1]["gap_tight"] == ""
+
+    def test_boundary_point_is_the_analyze_state(self, tmp_path, capsys):
+        # 0 + 0 + 0.36 + 0.64 rounds above 1, so p5 is 0 within the builders' norm window
+        out = tmp_path / "scan.csv"
+        coefficients = ["--p2", "0", "--p3", "0.6", "--p4", "0.8"]
+        assert run_cli(["scan", "--family", "canonical-a", "--from", "0", "--to", "0.1",
+                        "--steps", "2", *coefficients, "--out", str(out)]) == 0
+        assert "feasible=1 skipped=1" in capsys.readouterr().out
+        with open(out, newline="") as fh:
+            row, last = list(csv.DictReader(fh))
+        assert run_cli(["analyze", "--family", "canonical-a", "--p1", "0", *coefficients,
+                        "--format", "csv"]) == 0
+        (report,) = csv.DictReader(capsys.readouterr().out.strip().splitlines()[-2:])
+        assert row["note"] == "" and row["p5"] == "0"
+        assert last["note"].startswith("infeasible")
+        assert {k: row[k] for k in METRIC_KEYS} == {k: report[k] for k in METRIC_KEYS}
+
+    def test_overflowing_grid_point_is_infeasible(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert run_cli(["scan", "--family", "canonical-a", "--from", "0", "--to", "1e200",
+                        "--steps", "3", "--out", str(out)]) == 0
+        assert "feasible=1 skipped=2" in capsys.readouterr().out
+        with open(out, newline="") as fh:
+            notes = [row["note"] for row in csv.DictReader(fh)]
+        assert notes[0] == "" and all(n.startswith("infeasible") for n in notes[1:])
 
     @pytest.mark.parametrize("lo,hi", [("nan", "1"), ("0", "inf"), ("-1.7e308", "1.7e308")])
     def test_non_finite_bound_exits_2(self, tmp_path, capsys, lo, hi):

@@ -388,6 +388,20 @@ class TestDiscrepancy:
             experiments.run_discrepancy("canonical-a", n=0)
 
 
+@pytest.mark.parametrize("call,name", [
+    (lambda n: experiments.run_ensemble("haar", n, 0), "n"),
+    (lambda n: experiments.run_scan("bell-product", 0.0, 1.0, n), "steps"),
+    (lambda n: experiments.run_figure(1, 0, n=n), "--n"),
+    (lambda n: experiments.run_figure(2, 0, n=n), "--n"),
+    (lambda n: experiments.run_discrepancy("canonical-a", n, 0), "n"),
+], ids=["ensemble", "scan", "figure-1", "figure-2", "discrepancy"])
+@pytest.mark.parametrize("n", [2.5, 3.0, True, np.float64(4.0)])
+def test_runners_reject_a_count_that_is_not_an_integer(call, name, n):
+    # no runner truncates a count: each refuses it as uniforms does
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(n)
+
+
 # Reference rows built one index at a time with scalar code, the way the
 # row-by-row writer (csv.writer over format_number cells) consumed them; the
 # columnar runners and the block writer must reproduce their bytes exactly.
@@ -456,8 +470,9 @@ def _reference_scan(family, lo, hi, steps, pivot):
         else:
             d = experiments.SWEEP_DEFAULTS
             p5sq = 1.0 - p1 * p1 - d["p2"] * d["p2"] - d["p3"] * d["p3"] - d["p4"] * d["p4"]
-            if p1 >= 0.0 and p5sq >= 0.0:
-                p = (float(p1), d["p2"], d["p3"], d["p4"], math.sqrt(p5sq))
+            p = (float(p1), d["p2"], d["p3"], d["p4"], math.sqrt(max(p5sq, 0.0)))
+            # the builders' rule: non-negative, squares summing to 1 within the tolerance
+            if p1 >= 0.0 and abs(sum(x * x for x in p) - 1.0) <= states.PARAM_NORM_TOL:
                 row.update(dict(zip(_PARAMS, p)), theta=d["theta"])
                 buildable.append((i, _reference_canonical(family, p, d["theta"])))
             else:

@@ -87,6 +87,20 @@ class TestCanonical:
         with pytest.raises(ValueError, match="theta"):
             states.make_canonical_a((1.0, 0.0, 0.0, 0.0, 0.0), theta)
 
+    def test_normalizing_p5(self):
+        # subtracted left to right, then clipped at 0 where p1..p4 overshoot
+        assert states.normalizing_p5(0.5, 0.5, 0.5, 0.25) == math.sqrt(1.0 - 0.25 * 3 - 0.0625)
+        assert states.normalizing_p5(0.0, 0.0, 0.6, 0.8) == 0.0  # 1 - 0.36 - 0.64 < 0
+        assert states.normalizing_p5(1.0, 0.5, 0.0, 0.0) == 0.0
+        grid = np.array([0.0, 0.6, 1e200])
+        np.testing.assert_array_equal(states.normalizing_p5(grid, 0.0, 0.0, 0.8),
+                                      [math.sqrt(1.0 - 0.8 * 0.8), 0.0, 0.0])
+
+    def test_overflowing_parameters_fail_the_norm_check(self):
+        # the square of 1e200 overflows to inf without a warning, and inf is not 1
+        with pytest.raises(ValueError, match="^sum of squared parameters is inf, must be 1$"):
+            states.make_canonical_a([1e200, 0.0, 0.0, 0.0, 0.0])
+
 
 class TestSampling:
     def test_haar_snapshot(self):
@@ -118,6 +132,13 @@ class TestSampling:
         with pytest.raises(ValueError) as single_err:
             states.RngState(seed, 0)
         assert str(batch_err.value) == str(single_err.value)
+
+    @pytest.mark.parametrize("sampler", [states.sample_haar_batch, states.sample_canonical_batch])
+    @pytest.mark.parametrize("n", [2.9, 2.0, True])
+    def test_batch_rejects_a_count_that_is_not_an_integer(self, sampler, n):
+        # the count reaches uniforms untruncated, which refuses it
+        with pytest.raises(ValueError, match="^stream count must be an integer, got "):
+            sampler(0, n)
 
     def test_canonical_sample_snapshot(self):
         spec = states.sample_canonical(states.RngState(2024, 0), "canonical-b")
@@ -295,6 +316,12 @@ class TestValidateAndFiles:
         path = tmp_path / "bool.json"
         path.write_text(json.dumps([[True, False]] + [[0, 0]] * 7))
         with pytest.raises(ValueError, match="^entry 0 must hold two numbers$"):
+            states.read_state_file(path)
+
+    def test_overflowing_norm_is_outside_the_window(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([[1e200, 1e200]] * 8))
+        with pytest.raises(ValueError, match="norm inf$"):
             states.read_state_file(path)
 
     def test_read_rejects_integers_beyond_double_range(self, tmp_path):
