@@ -8,7 +8,8 @@ equal-length numpy arrays keyed by column name, from the sampler through
 the monogamy table to the writer, with no per-row Python on the way.  A
 column the table lacks is written empty in every row (the parameters of a
 Haar ensemble, say).  A scan table also carries a boolean `feasible`
-entry: a grid point with no state keeps only its index, family and note.
+entry: a grid point with no state keeps only its index, family and note,
+and its other cells hold placeholders (NaN, or "" in the class column).
 CSV and JSON come from one block formatter, `format_rows`, over one fixed
 schema so all outputs stay interchangeable for downstream plotting.  A
 format is data (`_FORMATS`): the text around rows and cells, string
@@ -93,17 +94,27 @@ def _metric_columns(psis, pivot, tolerance) -> dict:
     return cols
 
 
+def _family_states(family, p, theta=None):
+    """The states of a family's parameter rows, and the rows as table columns.
+
+    Bell weights p1 (n,) give columns p1 and p2 = 1 - p1; canonical rows
+    p (n, 5) with angles theta (n,) give p1..p5 and theta.
+    """
+    if family == "bell-product":
+        return states.make_bell_product(p), {"p1": p, "p2": 1.0 - p}
+    maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
+    return maker(p, theta), {**dict(zip(_PARAM_KEYS, p.T)), "theta": theta}
+
+
 def _ensemble_states(family, n, seed):
-    """States plus the parameter columns the family has."""
+    """n states of the family from the seed's streams, and the parameter
+    columns the family has (none for haar, ghz and w)."""
     if family == "haar":
         return states.sample_haar_batch(seed, n), {}
-    if family in ("canonical-a", "canonical-b"):
-        p, theta = states.sample_canonical_batch(seed, n)
-        maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
-        return maker(p, theta), {**dict(zip(_PARAM_KEYS, p.T)), "theta": theta}
     if family == "bell-product":
-        p1 = states.uniforms(seed, n, 1)[:, 0]
-        return states.make_bell_product(p1), {"p1": p1, "p2": 1.0 - p1}
+        return _family_states(family, states.uniforms(seed, n, 1)[:, 0])
+    if family in ("canonical-a", "canonical-b"):
+        return _family_states(family, *states.sample_canonical_batch(seed, n))
     builder = states.make_ghz if family == "ghz" else states.make_w
     return np.tile(builder(), (n, 1)), {}
 
@@ -144,8 +155,9 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL,
     states stay normalized.  A point is feasible exactly where the family's
     builder would accept its parameters: scan asks the builder's own check
     list, so it agrees with `analyze` by construction.  `feasible` marks
-    the points with a state; at the others the metric columns (and p5)
-    hold NaN placeholders, which no writer and no check reads.
+    the points with a state; at the others every column but index, family
+    and note holds a placeholder (NaN, or "" in class), which no writer
+    and no check reads.
     """
     if family not in ("bell-product", "canonical-a", "canonical-b"):
         raise ValueError(f"scan supports bell-product and canonical families, got {family!r}")
@@ -160,31 +172,25 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL,
         raise ValueError(f"a bell-product scan takes no fixed coefficients, got {next(iter(given))}")
     p2, p3, p4, theta = {**SWEEP_DEFAULTS, **given}.values()
     grid = np.linspace(float(lo), float(hi), steps)
+    angles = np.full(steps, theta, dtype=np.float64)
     if family == "bell-product":
-        ok = ~states._failing(states._bell_checks(grid))
-        params = {"p1": grid, "p2": 1.0 - grid}
+        rows, checks = grid, states._bell_checks(grid)
         note = "infeasible: p1 outside [0, 1]"
-        psis = states.make_bell_product(grid[ok])
     else:
         # checked here, since a grid without a feasible point builds no state to check them
         _raise_first_failure(states._entry_checks(
             np.array([p2, p3, p4], dtype=np.float64), np.asarray(theta, dtype=np.float64)))
         p5 = states.normalizing_p5(grid, p2, p3, p4)
-        p = np.stack(np.broadcast_arrays(grid, p2, p3, p4, p5), axis=-1)
-        ok = ~states._failing(states._canonical_checks(p, theta))
-        maker = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
-        psis = maker(p[ok], theta)
-        p[~ok, 4] = np.nan
-        params = {**dict(zip(_PARAM_KEYS, p.T)), "theta": np.full(steps, theta, dtype=np.float64)}
+        rows = np.stack(np.broadcast_arrays(grid, p2, p3, p4, p5), axis=-1)
+        checks = states._canonical_checks(rows, angles)
         note = "infeasible: no normalized state for this p1"
-    table = {"index": np.arange(steps), "family": np.full(steps, family), **params,
-             **{k: np.full(steps, np.nan) for k in METRIC_KEYS},
-             "class": np.full(steps, "", dtype=object), "note": np.where(ok, "", note),
-             "feasible": ok}
-    if ok.any():
-        for key, values in _metric_columns(psis, pivot, tolerance).items():
-            table[key][ok] = values
-    return table
+    ok = ~states._failing(checks)
+    psis, params = _family_states(family, rows[ok], angles[ok])
+    table = {"index": np.arange(steps), "family": np.full(steps, family)}
+    for key, values in {**params, **_metric_columns(psis, pivot, tolerance)}.items():
+        table[key] = np.full(steps, "" if values.dtype.kind == "U" else np.nan, values.dtype)
+        table[key][ok] = values
+    return {**table, "note": np.where(ok, "", note), "feasible": ok}
 
 
 _FIGURES = {
@@ -389,12 +395,11 @@ def run_discrepancy(family, n=200, seed=0):
     if family not in _AUDIT_VARIANT:
         raise ValueError(f"discrepancy supports the canonical families, got {family!r}")
     states._check_count(n, "n", 1)
-    make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
     cand = (closed_forms.canonical_a_candidates if family == "canonical-a"
             else closed_forms.canonical_b_candidates)
     p, theta = states.sample_canonical_batch(seed, n)
     # (candidates, numerical truth) at the sampled theta and at theta = 0
-    runs = {zero: (cand(p, th), monogamy_table(make(p, th), "A"))
+    runs = {zero: (cand(p, th), monogamy_table(_family_states(family, p, th)[0], "A"))
             for zero, th in ((False, theta), (True, 0.0))}
     specs = [*_AUDIT_ROWS[:5], _AUDIT_VARIANT[family], *_AUDIT_ROWS[5:]]
     rows = []

@@ -51,7 +51,9 @@ _CANONICAL_B_INDICES = (0, 1, 2, 4, 7)
 
 
 def _check_seed(seed) -> int:
-    """The seed as an int, rejected unless it fits in an unsigned 64-bit integer."""
+    """The seed as an int: an integer by _check_count's rule, rejected unless
+    it fits in an unsigned 64-bit integer."""
+    _check_count(seed, "seed")
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -140,6 +142,7 @@ def uniforms(seed: int, n: int, k: int) -> np.ndarray:
     """
     seed = _check_seed(seed)
     _check_count(n, "stream count")
+    _check_count(k, "draw count")
     if not 0 <= n <= 2**32:
         raise ValueError(f"stream count must lie in [0, 2**32], got {n}")
     # array arithmetic throughout, which wraps without a warning
@@ -164,8 +167,8 @@ def uniforms(seed: int, n: int, k: int) -> np.ndarray:
     hi, lo = _pcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
     # one C-contiguous row per stream: batched samplers sum along the last
     # axis, and another memory layout would change their summation order
-    out = np.empty((n, int(k)))
-    for t in range(int(k)):
+    out = np.empty((n, k))
+    for t in range(k):
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         x, rot = hi ^ lo, hi >> _SHIFT_58
         x = (x >> rot) | (x << ((_SHIFT_64 - rot) & _SHIFT_63))
@@ -185,12 +188,14 @@ class RngState:
     """
 
     def __init__(self, seed: int, index: int):
+        _check_count(index, "stream index")
         seq = np.random.SeedSequence(entropy=_check_seed(seed), spawn_key=(int(index),))
         self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on [0, 1)."""
-        return self._gen.random(int(n))
+        _check_count(n, "n")
+        return self._gen.random(n)
 
 
 def validate(psi) -> np.ndarray:

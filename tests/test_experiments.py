@@ -402,6 +402,18 @@ def test_runners_reject_a_count_that_is_not_an_integer(call, name, n):
         call(n)
 
 
+@pytest.mark.parametrize("call", [
+    lambda seed: experiments.run_ensemble("haar", 3, seed),
+    lambda seed: experiments.run_figure(2, seed, n=3),
+    lambda seed: experiments.run_discrepancy("canonical-a", 3, seed),
+], ids=["ensemble", "figure-2", "discrepancy"])
+@pytest.mark.parametrize("seed", [2.7, True, "5"])
+def test_runners_reject_a_seed_that_is_not_an_integer(call, seed):
+    # truncated, a seed of 2.7 would report seed 2's states under 2.7
+    with pytest.raises(ValueError, match="^seed must be an integer, got "):
+        call(seed)
+
+
 # Reference rows built one index at a time with scalar code, the way the
 # row-by-row writer (csv.writer over format_number cells) consumed them; the
 # columnar runners and the block writer must reproduce their bytes exactly.
@@ -481,6 +493,23 @@ def _reference_scan(family, lo, hi, steps, pivot):
     return _with_metrics(rows, buildable, pivot)
 
 
+def _scan_with_placeholders(family, lo, hi, steps, pivot):
+    """run_scan's table, checked to have some infeasible point, every column
+    of the family at full length, and a placeholder (NaN, or "" in class) in
+    each cell of an infeasible row outside index, family and note."""
+    table = experiments.run_scan(family, lo, hi, steps, pivot=pivot)
+    off = ~table["feasible"]
+    assert off.any()
+    bell_lacks = ["p3", "p4", "p5", "theta"] if family == "bell-product" else []
+    assert [c for c in experiments.SCAN_COLUMNS if c not in table] == bell_lacks
+    for c in [c for c in experiments.SCAN_COLUMNS if c in table]:
+        assert len(table[c]) == steps, c
+        if c not in ("index", "family", "note"):
+            cells = table[c][off]
+            assert (cells == "").all() if c == "class" else np.isnan(cells).all(), c
+    return table
+
+
 def _reference_bytes(rows, columns, fmt):
     if fmt == "json":
         payload = [{c: row.get(c, "") for c in columns} for row in rows]
@@ -536,19 +565,21 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_bell_scan_with_infeasible_points(self, tmp_path, block_rows, fmt):
-        table = experiments.run_scan("bell-product", -0.5, 1.5, 41, pivot="B")
-        assert not table["feasible"].all()
-        want = _reference_bytes(_reference_scan("bell-product", -0.5, 1.5, 41, "B"),
-                                experiments.SCAN_COLUMNS, fmt)
-        assert _written(tmp_path, table, experiments.SCAN_COLUMNS, fmt) == want
+        # the second grid has no feasible point
+        for lo, hi, steps in ((-0.5, 1.5, 41), (1.5, 2.0, 3)):
+            table = _scan_with_placeholders("bell-product", lo, hi, steps, "B")
+            want = _reference_bytes(_reference_scan("bell-product", lo, hi, steps, "B"),
+                                    experiments.SCAN_COLUMNS, fmt)
+            assert _written(tmp_path, table, experiments.SCAN_COLUMNS, fmt) == want
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_canonical_scan_with_infeasible_points(self, tmp_path, block_rows, fmt):
-        table = experiments.run_scan("canonical-b", 0.0, 1.2, 61, pivot="C")
-        assert np.isnan(table["p5"][~table["feasible"]]).all()
-        want = _reference_bytes(_reference_scan("canonical-b", 0.0, 1.2, 61, "C"),
-                                experiments.SCAN_COLUMNS, fmt)
-        assert _written(tmp_path, table, experiments.SCAN_COLUMNS, fmt) == want
+        # the second grid has no feasible point
+        for family, lo, hi, steps in (("canonical-b", 0.0, 1.2, 61), ("canonical-a", 1.5, 2.0, 3)):
+            table = _scan_with_placeholders(family, lo, hi, steps, "C")
+            want = _reference_bytes(_reference_scan(family, lo, hi, steps, "C"),
+                                    experiments.SCAN_COLUMNS, fmt)
+            assert _written(tmp_path, table, experiments.SCAN_COLUMNS, fmt) == want
 
     def test_figure_2(self, tmp_path, block_rows):
         table, columns, _, _, _ = experiments.run_figure(2, seed=0, n=57)

@@ -159,7 +159,7 @@ class TestSampling:
 
 
 
-STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+STREAM_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, np.uint64(2**64 - 1)]
 
 
 class TestStreamRebuild:
@@ -201,13 +201,27 @@ class TestStreamRebuild:
         if index < 2**32:
             np.testing.assert_array_equal(batch[index].view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2.7, True, "5", np.float64(3.0)])
     def test_rejects_seeds_like_rng_state(self, seed):
-        with pytest.raises(ValueError) as batch_err:
+        with pytest.raises(ValueError, match="^seed must ") as batch_err:
             states.uniforms(seed, 1, 2)
         with pytest.raises(ValueError) as single_err:
             states.RngState(seed, 0)
         assert str(batch_err.value) == str(single_err.value)
+
+    @pytest.mark.parametrize("index", [2.5, True, "1"])
+    def test_rng_state_rejects_an_index_that_is_not_an_integer(self, index):
+        with pytest.raises(ValueError, match="^stream index must be an integer, got "):
+            states.RngState(0, index)
+
+    @pytest.mark.parametrize("draw,name", [
+        (lambda k: states.RngState(0, 0).uniforms(k), "n"),
+        (lambda k: states.uniforms(0, 2, k), "draw count"),
+    ], ids=["RngState", "uniforms"])
+    @pytest.mark.parametrize("k", [2.5, True, np.float64(2.0)])
+    def test_rejects_a_draw_count_that_is_not_an_integer(self, draw, name, k):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            draw(k)
 
     def test_stream_count_bounds(self):
         # 2**32 + 1 streams would take an index of 2**32, a second spawn word
