@@ -53,18 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _print_report(report, label: str, fmt: str, family: str) -> None:
-    d = {**vars(report), "class": label, "saturated_tight": label == "saturated"}
-    sys.stdout.write("".join(f"{key:<12}: {experiments.format_number(d[key])}\n"
-                             for key in ("pivot", *METRIC_KEYS, "class")))
-    if fmt == "csv":
-        row = {**d, "index": 0, "family": family}
-        table = {k: np.array([v]) for k, v in row.items() if k in experiments.CSV_COLUMNS}
-        sys.stdout.writelines(experiments.format_rows(table, experiments.CSV_COLUMNS, "csv"))
-    else:
-        print(json.dumps(d, sort_keys=True))
-
-
 # The options each analyze family builds its state from; ghz, w and a state
 # file read none of them, and any option a state is not built from exits 2.
 _CANONICAL_OPTIONS = ("p1", "p2", "p3", "p4", "p5", "theta")
@@ -73,7 +61,8 @@ _FAMILY_OPTIONS = {"bell-product": ("p1",), "canonical-a": _CANONICAL_OPTIONS,
                    "canonical-b": _CANONICAL_OPTIONS, "haar": ("seed",)}
 
 
-def _state_from_args(args) -> np.ndarray:
+def _state_from_args(args):
+    """The analyze state and its parameter columns, none for a file, haar, ghz and w."""
     family = args.family
     unread = [k for k in _STATE_OPTIONS
               if getattr(args, k) is not None and k not in _FAMILY_OPTIONS.get(family, ())]
@@ -81,31 +70,39 @@ def _state_from_args(args) -> np.ndarray:
         source = "--state" if family is None else f"--family {family}"
         raise ValueError(f"--{unread[0]} does not apply to {source}")
     if args.state is not None:
-        return states.read_state_file(args.state)
+        return states.read_state_file(args.state), {}
     if family in ("canonical-a", "canonical-b"):
         given = [args.p1, args.p2, args.p3, args.p4, args.p5]
         if any(v is None for v in given[:4]):
             raise ValueError(f"{family} requires --p1 --p2 --p3 --p4 (and --p5 or it "
                              "is derived from normalization)")
         if given[4] is None:
-            # p1..p4 that overshoot leave p5 = 0 for make_canonical_a/b's norm check to refuse
+            # p1..p4 that overshoot leave p5 = 0 for the builder's norm check to refuse
             given[4] = states.normalizing_p5(*given[:4])
-        make = states.make_canonical_a if family == "canonical-a" else states.make_canonical_b
-        return make(given, 0.0 if args.theta is None else args.theta)
+        return experiments._family_states(family, np.array(given),
+                                          0.0 if args.theta is None else args.theta)
     if family == "bell-product":
         if args.p1 is None:
             raise ValueError("bell-product requires --p1")
-        return states.make_bell_product(args.p1)
+        return experiments._family_states(family, args.p1)
     if family == "haar":
-        return states.sample_haar(states.RngState(0 if args.seed is None else args.seed, 0))
-    return states.make_ghz() if family == "ghz" else states.make_w()
+        return states.sample_haar(states.RngState(0 if args.seed is None else args.seed, 0)), {}
+    return (states.make_ghz() if family == "ghz" else states.make_w()), {}
 
 
 def cmd_analyze(args) -> int:
-    psi = _state_from_args(args)
+    psi, params = _state_from_args(args)
     report = build_report(psi, args.pivot)
     label = classify(report, args.tol)
-    _print_report(report, label, args.format, args.family if args.state is None else "file")
+    d = {**vars(report), "class": label, "saturated_tight": label == "saturated"}
+    sys.stdout.write("".join(f"{key:<12}: {experiments.format_number(d[key])}\n"
+                             for key in ("pivot", *METRIC_KEYS, "class")))
+    if args.format == "csv":
+        row = {**d, **params, "index": 0, "family": args.family if args.state is None else "file"}
+        table = {k: np.array([v]) for k, v in row.items() if k in experiments.CSV_COLUMNS}
+        sys.stdout.writelines(experiments.format_rows(table, experiments.CSV_COLUMNS, "csv"))
+    else:
+        print(json.dumps(d, sort_keys=True))
     if label == "violated":
         raise experiments.InvariantViolation(f"gap_tight = {report.gap_tight!r}")
     return EXIT_OK

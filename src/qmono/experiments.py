@@ -16,9 +16,10 @@ format is data (`_FORMATS`): the text around rows and cells, string
 quoting, the float slot renderer and the empty cell.  Every block is one
 `numtext.byte_rows` call over slot matrices: CSV floats carry the exact
 digits of '%.17g' (the `numtext` kernel: Dekker's TwoProduct where
-1e-4 <= |x| < 10), JSON floats are each double's repr, as `json` writes them.
-Both round-trip exact for doubles, and the tables are re-validated against
-the report invariants by array reductions.
+1e-4 <= |x| < 10), JSON floats are as `json` writes them (each finite
+double's repr; NaN, Infinity, -Infinity).  Both round-trip exact for
+doubles, and the tables are re-validated against the report invariants
+by array reductions.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ _INFEASIBLE_KEEPS = ("index", "family", "note")
 # Rows per block when writing a table.  The CSV renderer's temporaries grow
 # with the block: 4096 rows raised the peak memory of small runs by 9 %.
 WRITE_BLOCK_ROWS = 1024
+# The most rows a table may have: numpy counts an array's bytes in a signed
+# 64-bit integer, so no float64 array holds more than 2**60 elements.
+_MOST_ROWS = 2**60
 # validate_rows: the CKW closure C2_X(YZ) = C2_XY + C2_XZ + tau a row may miss by.
 CLOSURE_TOL = 1e-9
 # validate_rows: roundoff slack on gap_tight <= gap_fei and on each C2 and tau in [0, 1].
@@ -98,7 +102,8 @@ def _family_states(family, p, theta=None):
     """The states of a family's parameter rows, and the rows as table columns.
 
     Bell weights p1 (n,) give columns p1 and p2 = 1 - p1; canonical rows
-    p (n, 5) with angles theta (n,) give p1..p5 and theta.
+    p (n, 5) with angles theta (n,) give p1..p5 and theta.  One weight, or
+    one row (5,) with a scalar theta, gives one state (8,) and scalar columns.
     """
     if family == "bell-product":
         return states.make_bell_product(p), {"p1": p, "p2": 1.0 - p}
@@ -127,7 +132,7 @@ def run_ensemble(family, n, seed, pivot="A", tolerance=SATURATION_TOL):
     """
     if family not in states.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    states._check_count(n, "n", 1)
+    states._check_count(n, "n", 1, _MOST_ROWS)
     # ghz and w sample nothing, but take the seeds every family takes
     states._check_seed(seed)
     _check_tol(tolerance)
@@ -161,7 +166,7 @@ def run_scan(family, lo, hi, steps, pivot="A", tolerance=SATURATION_TOL,
     """
     if family not in ("bell-product", "canonical-a", "canonical-b"):
         raise ValueError(f"scan supports bell-product and canonical families, got {family!r}")
-    states._check_count(steps, "steps", 2)
+    states._check_count(steps, "steps", 2, _MOST_ROWS)
     # the grid steps by (to - from) / (steps - 1), so that span must be finite too
     for name, bound in (("from", lo), ("to", hi), ("to - from", float(hi) - float(lo))):
         if not np.isfinite(bound):
@@ -219,7 +224,7 @@ def run_figure(which, seed, n=100, pivot="A", tolerance=SATURATION_TOL):
         raise ValueError(f"figure must be one of {sorted(_FIGURES)}, got {which!r}")
     family, mode, keys = _FIGURES[which]
     least = 1 if mode == "ensemble" else 2  # samples, or grid points of the p1 sweep
-    states._check_count(n, "--n")
+    states._check_count(n, "--n", most=_MOST_ROWS)
     if n < least:
         raise ValueError(f"--n must be at least {least} for figure {which}, got {n}")
     # figure 2 samples nothing, but takes the seeds every figure takes
@@ -291,6 +296,20 @@ def _distinct(col):
     return values, inverse
 
 
+def _json_float_text(x):
+    """Each double of x as `json` writes it, in (x.size, 24) NUL-padded slots:
+    a finite double's repr, else NaN, Infinity or -Infinity."""
+    x = x.reshape(-1)
+    slots = _percent_text(x, "r", 24)
+    finite = np.isfinite(x)
+    if not finite.all():
+        for i in np.flatnonzero(~finite).tolist():
+            text = json.dumps(x[i].item()).encode()
+            slots[i] = 0
+            slots[i, :len(text)] = np.frombuffer(text, dtype=np.uint8)
+    return slots
+
+
 # A format as data: header(columns), the separator between two rows,
 # prefixes(columns) (the text before each cell of a row), the row end, the
 # closing text, a string cell's quoting, the float slot renderer and the
@@ -302,7 +321,7 @@ _FORMATS = {
     "json": (lambda columns: "[", ",",
              lambda columns: [("\n {\n" if j == 0 else ",\n") + f"  {json.dumps(c)}: "
                               for j, c in enumerate(columns)],
-             "\n }", "\n]\n", json.dumps, lambda x: _percent_text(x.reshape(-1), "r", 24), '""'),
+             "\n }", "\n]\n", json.dumps, _json_float_text, '""'),
 }
 
 

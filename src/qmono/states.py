@@ -118,12 +118,15 @@ def _pcg_step(hi, lo, inc_hi, inc_lo):
     return new_hi, new_lo
 
 
-def _check_count(n, name, least=None):
-    """Reject a count that is not an integer (a bool is not one), or one below `least`."""
+def _check_count(n, name, least=None, most=None):
+    """Reject a count that is not an integer (a bool is not one), or one
+    below `least` or above `most`."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {n!r}")
     if least is not None and n < least:
         raise ValueError(f"{name} must be at least {least}")
+    if most is not None and n > most:
+        raise ValueError(f"{name} must be at most {most}, got {n}")
 
 
 def uniforms(seed: int, n: int, k: int) -> np.ndarray:

@@ -21,6 +21,15 @@ def run_cli(args):
     return cli.main(args)
 
 
+_CANONICAL_KEYS = ("p1", "p2", "p3", "p4", "p5", "theta")
+
+
+def _analyze_csv_row(out):
+    """The CSV row of `analyze --format csv` output: its last two lines."""
+    (row,) = csv.DictReader(out.splitlines()[-2:])
+    return row
+
+
 class TestAnalyze:
     def test_ghz_human_and_json(self, capsys):
         assert run_cli(["analyze", "--family", "ghz"]) == 0
@@ -37,13 +46,43 @@ class TestAnalyze:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert abs(payload["gap_tight"]) < 1e-10
 
-    def test_csv_format(self, capsys):
+    def test_csv_format(self, tmp_path, capsys):
         assert run_cli(["analyze", "--family", "w", "--format", "csv"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[-2] == ",".join(experiments.CSV_COLUMNS)
         rec = dict(zip(experiments.CSV_COLUMNS, lines[-1].split(",")))
         assert rec["family"] == "w"
         assert float(rec["c2_ab"]) == pytest.approx(4.0 / 9.0, abs=1e-9)
+        assert [rec[k] for k in _CANONICAL_KEYS] == [""] * 6
+        # a state file and a Haar state, like w, have no parameter cells to fill
+        path = tmp_path / "ghz.json"
+        states.write_state_file(path, states.make_ghz())
+        for flags, family in ((["--state", str(path)], "file"),
+                              (["--family", "haar", "--seed", "4"], "haar")):
+            assert run_cli(["analyze", *flags, "--format", "csv"]) == 0
+            rec = _analyze_csv_row(capsys.readouterr().out)
+            assert rec["family"] == family
+            assert [rec[k] for k in _CANONICAL_KEYS] == [""] * 6
+
+    @pytest.mark.parametrize("pivot", ["A", "B", "C"])
+    @pytest.mark.parametrize("family", ["bell-product", "canonical-a", "canonical-b"])
+    def test_csv_row_is_the_ensemble_row(self, tmp_path, capsys, family, pivot):
+        # analyze on an ensemble row's parameter cells writes that row, index aside
+        path = tmp_path / "e.csv"
+        assert run_cli(["ensemble", "--family", family, "--n", "5", "--seed", "11",
+                        "--pivot", pivot, "--out", str(path)]) == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        keys = ("p1",) if family == "bell-product" else _CANONICAL_KEYS
+        capsys.readouterr()
+        for row in rows:
+            flags = [x for k in keys for x in (f"--{k}", row[k])]
+            assert run_cli(["analyze", "--family", family, *flags, "--pivot", pivot,
+                            "--format", "csv"]) == 0
+            rec = _analyze_csv_row(capsys.readouterr().out)
+            assert rec["index"] == "0"
+            assert {k: v for k, v in rec.items() if k != "index"} == {
+                k: v for k, v in row.items() if k != "index"}
 
     def test_tol_sets_printed_class(self, capsys):
         argv = ["analyze", "--family", "bell-product", "--p1", "0.6"]
@@ -107,10 +146,13 @@ class TestAnalyze:
             table = experiments.run_scan(family, p1, p1 + 0.5, 2, p2=p2, p3=p3, p4=p4)
             args = parser.parse_args(["analyze", "--family", family, "--p1", str(p1),
                                       "--p2", str(p2), "--p3", str(p3), "--p4", str(p4)])
-            report = build_report(cli._state_from_args(args), "A")
+            psi, params = cli._state_from_args(args)
+            report = build_report(psi, "A")
             assert table["feasible"][0], quad
             assert [float(table[k][0]).hex() for k in METRIC_KEYS] == [
                 float(getattr(report, k)).hex() for k in METRIC_KEYS], quad
+            assert {k: float(v).hex() for k, v in params.items()} == {
+                k: float(table[k][0]).hex() for k in _CANONICAL_KEYS}, quad
 
     def test_overflowing_amplitudes_exit_2(self, tmp_path, capsys):
         # the squared norm overflows to inf without a warning and fails the norm window
@@ -696,6 +738,26 @@ def test_accepted_argv_exits_0(tmp_path, capsys, argv):
 def test_nan_tol_gives_one_message_everywhere(tmp_path, capsys, argv):
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--tol", "nan"]) == 2
     assert capsys.readouterr() == ("", "error: tol must be finite, got nan\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# Counts past the most elements any array can hold (2**60 float64) are refused
+# by name before numpy sees them; numpy itself would raise IndexError or
+# OverflowError.
+@pytest.mark.parametrize("argv,message", [
+    (["scan", "--family", "bell-product", "--from", "0", "--to", "1",
+      "--steps", str(2**63), "--out", "{tmp}/s.csv"], f"steps must be at most {2**60}"),
+    (["figures", "--which", "2", "--n", str(2**64 - 1), "--out-dir", "{tmp}/figs"],
+     f"--n must be at most {2**60}"),
+    (["ensemble", "--family", "ghz", "--n", str(2**63), "--out", "{tmp}/g.csv"],
+     f"n must be at most {2**60}"),
+    (["ensemble", "--family", "w", "--n", str(2**64), "--out", "{tmp}/w.csv"],
+     f"n must be at most {2**60}"),
+], ids=["scan-steps", "figures-n", "ensemble-ghz-n", "ensemble-w-n"])
+def test_count_no_array_can_hold_exits_2(tmp_path, capsys, argv, message):
+    assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}, got ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

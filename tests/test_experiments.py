@@ -597,9 +597,10 @@ class TestByteIdentity:
         assert _written(tmp_path, table, columns, fmt) == want
 
     def test_json_float_slots_at_their_widest(self):
-        # a finite double's repr fills at most the 24-byte slot; the first two fill it
+        # a finite double's repr fills at most the 24-byte slot; the first two fill it.
+        # The non-finite ones are written as json writes them, not as their repr
         values = [-2.2250738585072014e-308, -1.7976931348623157e308, 5e-324, -0.0, 1e16,
-                  1e-5, 0.1]
+                  1e-5, 0.1, math.nan, math.inf, -math.inf]
         assert [len(repr(v)) for v in values[:2]] == [24, 24]
         text = "".join(experiments.format_rows({"x": np.array(values)}, ["x"], "json"))
         assert text == json.dumps([{"x": v} for v in values], indent=1) + "\n"
