@@ -15,11 +15,11 @@ schema so all outputs stay interchangeable for downstream plotting.  A
 format is data (`_FORMATS`): the text around rows and cells, string
 quoting, the float slot renderer and the empty cell.  Every block is one
 `numtext.byte_rows` call over slot matrices: CSV floats carry the exact
-digits of '%.17g' (the `numtext` kernel: Dekker's TwoProduct where
-1e-4 <= |x| < 10), JSON floats are as `json` writes them (each finite
-double's repr; NaN, Infinity, -Infinity).  Both round-trip exact for
-doubles, and the tables are re-validated against the report invariants
-by array reductions.
+digits of '%.17g' (`numtext.float_text`), JSON floats are as `json` writes
+them: each finite double's repr (`numtext.repr_text`), else NaN, Infinity
+or -Infinity.  Both kernels share Dekker's TwoProduct where
+1e-4 <= |x| < 10, both round-trip exact for doubles, and the tables are
+re-validated against the report invariants by array reductions.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import closed_forms, states, svgplot
 from .inequalities import METRIC_KEYS, SATURATION_TOL, _check_tol, classify_gaps, monogamy_table
-from .numtext import _percent_text, byte_rows, float_text, int_text
+from .numtext import byte_rows, float_text, int_text, repr_text
 from .states import _raise_first_failure
 
 __all__ = [
@@ -56,6 +56,9 @@ _INFEASIBLE_KEEPS = ("index", "family", "note")
 # Rows per block when writing a table.  The CSV renderer's temporaries grow
 # with the block: 4096 rows raised the peak memory of small runs by 9 %.
 WRITE_BLOCK_ROWS = 1024
+# JSON float cells per repr_text call.  Its temporaries over a whole block
+# (up to 13 312 cells) doubled the JSON writer's peak memory.
+_REPR_CELLS = 4096
 # The most rows a table may have: numpy counts an array's bytes in a signed
 # 64-bit integer, so no float64 array holds more than 2**60 elements.
 _MOST_ROWS = 2**60
@@ -132,7 +135,9 @@ def run_ensemble(family, n, seed, pivot="A", tolerance=SATURATION_TOL):
     """
     if family not in states.FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    states._check_count(n, "n", 1, _MOST_ROWS)
+    # ghz and w draw no streams, so only the array size bounds their count
+    most = _MOST_ROWS if family in ("ghz", "w") else states._MOST_STREAMS
+    states._check_count(n, "n", 1, most)
     # ghz and w sample nothing, but take the seeds every family takes
     states._check_seed(seed)
     _check_tol(tolerance)
@@ -224,7 +229,7 @@ def run_figure(which, seed, n=100, pivot="A", tolerance=SATURATION_TOL):
         raise ValueError(f"figure must be one of {sorted(_FIGURES)}, got {which!r}")
     family, mode, keys = _FIGURES[which]
     least = 1 if mode == "ensemble" else 2  # samples, or grid points of the p1 sweep
-    states._check_count(n, "--n", most=_MOST_ROWS)
+    states._check_count(n, "--n", most=states._MOST_STREAMS if mode == "ensemble" else _MOST_ROWS)
     if n < least:
         raise ValueError(f"--n must be at least {least} for figure {which}, got {n}")
     # figure 2 samples nothing, but takes the seeds every figure takes
@@ -300,7 +305,9 @@ def _json_float_text(x):
     """Each double of x as `json` writes it, in (x.size, 24) NUL-padded slots:
     a finite double's repr, else NaN, Infinity or -Infinity."""
     x = x.reshape(-1)
-    slots = _percent_text(x, "r", 24)
+    slots = np.empty((x.size, 24), dtype=np.uint8)
+    for i in range(0, x.size, _REPR_CELLS):
+        slots[i:i + _REPR_CELLS] = repr_text(x[i:i + _REPR_CELLS])
     finite = np.isfinite(x)
     if not finite.all():
         for i in np.flatnonzero(~finite).tolist():
@@ -413,7 +420,7 @@ def run_discrepancy(family, n=200, seed=0):
     """
     if family not in _AUDIT_VARIANT:
         raise ValueError(f"discrepancy supports the canonical families, got {family!r}")
-    states._check_count(n, "n", 1)
+    states._check_count(n, "n", 1, states._MOST_STREAMS)
     cand = (closed_forms.canonical_a_candidates if family == "canonical-a"
             else closed_forms.canonical_b_candidates)
     p, theta = states.sample_canonical_batch(seed, n)

@@ -129,6 +129,11 @@ def _check_count(n, name, least=None, most=None):
         raise ValueError(f"{name} must be at most {most}, got {n}")
 
 
+# The most streams `uniforms` draws: each index i < 2**32 is one 32-bit spawn
+# word.  Every command that draws streams bounds its count by it.
+_MOST_STREAMS = 2**32
+
+
 def uniforms(seed: int, n: int, k: int) -> np.ndarray:
     """The first k doubles of RngState(seed, i).uniforms for every stream i < n.
 
@@ -144,10 +149,8 @@ def uniforms(seed: int, n: int, k: int) -> np.ndarray:
     lo * mult_lo is formed from 32-bit halves.
     """
     seed = _check_seed(seed)
-    _check_count(n, "stream count")
+    _check_count(n, "stream count", 0, _MOST_STREAMS)
     _check_count(k, "draw count")
-    if not 0 <= n <= 2**32:
-        raise ValueError(f"stream count must lie in [0, 2**32], got {n}")
     # array arithmetic throughout, which wraps without a warning
     idx = np.arange(n, dtype=np.uint64)
     consts = _hash_consts(_INIT_A, _MULT_A)

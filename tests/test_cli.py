@@ -743,7 +743,8 @@ def test_nan_tol_gives_one_message_everywhere(tmp_path, capsys, argv):
 
 # Counts past the most elements any array can hold (2**60 float64) are refused
 # by name before numpy sees them; numpy itself would raise IndexError or
-# OverflowError.
+# OverflowError.  A command that draws streams refuses more than the 2**32
+# streams `uniforms` can address, by the same name, before it samples.
 @pytest.mark.parametrize("argv,message", [
     (["scan", "--family", "bell-product", "--from", "0", "--to", "1",
       "--steps", str(2**63), "--out", "{tmp}/s.csv"], f"steps must be at most {2**60}"),
@@ -753,7 +754,18 @@ def test_nan_tol_gives_one_message_everywhere(tmp_path, capsys, argv):
      f"n must be at most {2**60}"),
     (["ensemble", "--family", "w", "--n", str(2**64), "--out", "{tmp}/w.csv"],
      f"n must be at most {2**60}"),
-], ids=["scan-steps", "figures-n", "ensemble-ghz-n", "ensemble-w-n"])
+    (["ensemble", "--family", "haar", "--n", str(2**32 + 1), "--out", "{tmp}/h.csv"],
+     f"n must be at most {2**32}"),
+    (["ensemble", "--family", "bell-product", "--n", str(2**32 + 1), "--out", "{tmp}/b.csv"],
+     f"n must be at most {2**32}"),
+    (["ensemble", "--family", "canonical-b", "--n", str(2**32 + 1), "--out", "{tmp}/c.csv"],
+     f"n must be at most {2**32}"),
+    (["figures", "--which", "1", "--n", str(2**32 + 1), "--out-dir", "{tmp}/figs"],
+     f"--n must be at most {2**32}"),
+    (["discrepancy", "--family", "a", "--n", str(2**32 + 1)], f"n must be at most {2**32}"),
+], ids=["scan-steps", "figures-n", "ensemble-ghz-n", "ensemble-w-n", "ensemble-haar-streams",
+        "ensemble-bell-product-streams", "ensemble-canonical-streams", "figures-1-streams",
+        "discrepancy-streams"])
 def test_count_no_array_can_hold_exits_2(tmp_path, capsys, argv, message):
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
     out, err = capsys.readouterr()

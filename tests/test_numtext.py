@@ -1,6 +1,6 @@
-"""The byte kernels against Python's '%' formatting, byte for byte:
-'%.17g' (float_text), '%d' (int_text) and '%.2f' (fixed2_text), and the
-row assembler byte_rows over their slots."""
+"""The byte kernels against Python's formatting, byte for byte: '%.17g'
+(float_text), repr (repr_text), '%d' (int_text) and '%.2f' (fixed2_text),
+and the row assembler byte_rows over their slots."""
 
 import struct
 
@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmono.numtext import _DECADES, byte_rows, fixed2_text, float_text, int_text
+from qmono.numtext import _DECADES, byte_rows, fixed2_text, float_text, int_text, repr_text
 
 # every double, drawn by its bit pattern: subnormals, NaNs and infinities too
 ANY_DOUBLE = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
@@ -43,6 +43,45 @@ def test_float_text_at_the_decade_thresholds_and_special_values():
     edges += [0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308,
               1.7976931348623157e308, np.inf, np.nan]
     assert_percent_17g(edges + [-v for v in edges])
+
+
+def assert_repr(values):
+    x = np.asarray(values, dtype=np.float64)
+    text = repr_text(x)
+    assert text.shape == (x.size, 24) and lines(text) == [repr(v) for v in x.tolist()]
+
+
+@given(st.lists(st.one_of(ANY_DOUBLE, st.floats()), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_repr_text_is_repr(values):
+    assert_repr(values)
+
+
+def test_repr_text_at_powers_of_two_ties_and_decade_edges():
+    # the gap below a power of two is half the gap above it
+    twos = np.ldexp(1.0, np.arange(-14, 4))
+    edges = [v for d in _DECADES for v in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf))]
+    values = np.concatenate([
+        twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf), edges,
+        [1.00000762939453125,  # M = ...312.5: 17 digits, the tie to the even one
+         0.30000000000000004, 0.0, -0.0], np.arange(1.0, 10.0),
+        np.linspace(0, 1.2, 1201), np.arange(10_000) / 1000])
+    assert_repr(np.concatenate([values, -values]))
+
+
+def test_repr_text_on_random_few_bit_and_decimal_doubles():
+    rng = np.random.default_rng(29)
+    n = 70_000
+    # random mantissas over [2^-14, 2^4), either sign, then the same with
+    # only their leading 1-40 bits kept
+    bits = (rng.integers(0, 2**52, n, dtype=np.uint64)
+            | rng.integers(1023 - 14, 1023 + 4, n).astype(np.uint64) << np.uint64(52)
+            | rng.integers(0, 2, n).astype(np.uint64) << np.uint64(63))
+    cut = (np.uint64(1) << rng.integers(12, 52, n).astype(np.uint64)) - np.uint64(1)
+    # k 10^-m for k of 1-15 digits, in [1e-4, 10)
+    k = rng.integers(10**14, 10**15, n) // 10 ** rng.integers(0, 15, n)
+    decimals = k / 10.0 ** (np.floor(np.log10(k)) + rng.integers(0, 5, n))
+    assert_repr(np.concatenate([bits.view(np.float64), (bits & ~cut).view(np.float64), decimals]))
 
 
 @given(st.lists(INT64, min_size=1, max_size=40))
