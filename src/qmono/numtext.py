@@ -165,8 +165,6 @@ def _decimal_text(x, spec, digits):
     x = x.reshape(-1)
     a = np.abs(x)
     slow = ~(((a >= _DECADES[0]) & (a < _DECADES[-1])) | (a == 0))  # NaN too
-    if slow.all():
-        return _percent_text(x, spec, 24)
     a[slow] = 0.0  # keeps the arithmetic finite; these slots are overwritten
     code = np.zeros(x.shape, dtype=np.intp)  # X + 5 on [1e-4, 10); 0 for zeros and slow slots
     for threshold in _DECADES[:-1]:
@@ -181,8 +179,7 @@ def _decimal_text(x, spec, digits):
         more |= g != 0
     words.view(np.uint64)[:, 0] = head[((code * 2 + np.signbit(x)) * 2 + more) * 10 + first]
     text = words.view(np.uint8).reshape(x.size, 24)
-    if slow.any():
-        text[slow] = _percent_text(x[slow], spec, 24)
+    text[slow] = _percent_text(x[slow], spec, 24)
     return text
 
 
@@ -262,11 +259,10 @@ def fixed2_text(x):
     heads, tails = _fixed2_tables()
     words = heads.take(whole * fast + 10_000 * np.signbit(x)) | tails.take(cents)
     text = words.view(np.uint8).reshape(x.size, _FIXED2_WIDTH)
-    if not fast.all():
-        slow = _percent_text(x[~fast], ".2f", _FIXED2_WIDTH)
-        if slow.shape[1] > _FIXED2_WIDTH:
-            text = np.pad(text, ((0, 0), (0, slow.shape[1] - _FIXED2_WIDTH)))
-        text[~fast] = slow
+    slow = _percent_text(x[~fast], ".2f", _FIXED2_WIDTH)
+    if slow.shape[1] > _FIXED2_WIDTH:
+        text = np.pad(text, ((0, 0), (0, slow.shape[1] - _FIXED2_WIDTH)))
+    text[~fast] = slow
     return text
 
 

@@ -604,6 +604,16 @@ class TestByteIdentity:
         assert [len(repr(v)) for v in values[:2]] == [24, 24]
         text = "".join(experiments.format_rows({"x": np.array(values)}, ["x"], "json"))
         assert text == json.dumps([{"x": v} for v in values], indent=1) + "\n"
+        # one block of 1024 rows and 14 columns, whose 14 336 stacked cells (column
+        # by column) go to repr_text in pieces of 4096: non-finite cells on both
+        # sides of each piece boundary and in the last cell
+        columns = [f"x{j}" for j in range(14)]
+        cells = np.arange(14 * 1024) / 7.0
+        cells[[4095, 4096, 8191, 8192, 14_335]] = [math.nan, math.inf, -math.inf, math.nan, math.inf]
+        table = dict(zip(columns, cells.reshape(14, 1024)))
+        text = "".join(experiments.format_rows(table, columns, "json"))
+        records = [{c: table[c][i].item() for c in columns} for i in range(1024)]
+        assert text == json.dumps(records, indent=1) + "\n"
 
 
 def _percent_g_lines(values):

@@ -14,6 +14,9 @@ from qmono.numtext import _DECADES, byte_rows, fixed2_text, float_text, int_text
 # every double, drawn by its bit pattern: subnormals, NaNs and infinities too
 ANY_DOUBLE = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
 INT64 = st.integers(-2**63, 2**63 - 1)
+# no value inside the fast range [1e-4, 10) or zero: every slot comes from '%'
+ALL_SLOW = [float("nan"), float("inf"), float("-inf"), 1e300, -12.5, 1e-5, 5e-324,
+            2.2250738585072014e-308]
 
 
 def lines(text):
@@ -43,6 +46,8 @@ def test_float_text_at_the_decade_thresholds_and_special_values():
     edges += [0.0, 5e-324, np.nextafter(2.2250738585072014e-308, 0.0), 2.2250738585072014e-308,
               1.7976931348623157e308, np.inf, np.nan]
     assert_percent_17g(edges + [-v for v in edges])
+    assert_percent_17g([])
+    assert_percent_17g(ALL_SLOW)
 
 
 def assert_repr(values):
@@ -67,6 +72,8 @@ def test_repr_text_at_powers_of_two_ties_and_decade_edges():
          0.30000000000000004, 0.0, -0.0], np.arange(1.0, 10.0),
         np.linspace(0, 1.2, 1201), np.arange(10_000) / 1000])
     assert_repr(np.concatenate([values, -values]))
+    assert_repr([])
+    assert_repr(ALL_SLOW)
 
 
 def test_repr_text_on_random_few_bit_and_decimal_doubles():
