@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -83,6 +84,15 @@ class TestAnalyze:
             assert rec["index"] == "0"
             assert {k: v for k, v in rec.items() if k != "index"} == {
                 k: v for k, v in row.items() if k != "index"}
+
+    def test_csv_numbers_are_the_percent_17g_text(self, capsys):
+        # the one-row CSV of analyze: index from the '%d' kernel, numbers from '%.17g'
+        assert run_cli(["analyze", "--family", "canonical-b", "--p1", "0.5", "--p2", "0.4",
+                        "--p3", "0.3", "--p4", "0.2", "--format", "csv"]) == 0
+        row = _analyze_csv_row(capsys.readouterr().out)
+        bad = [(key, cell) for key, cell in row.items()
+               if key not in ("index", "family", "class") and cell and cell != "%.17g" % float(cell)]
+        assert row["index"] == "0" and row["c2_abc"] and not bad, (row, bad)
 
     def test_tol_sets_printed_class(self, capsys):
         argv = ["analyze", "--family", "bell-product", "--p1", "0.6"]
@@ -229,6 +239,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("flags,message", [
         (["--family", "ghz", "--p1", "7", "--theta", "9", "--seed", "5"],
          "--p1 does not apply to --family ghz"),
+        (["--family", "ghz", "--p1", "0.5"], "--p1 does not apply to --family ghz"),
         (["--family", "w", "--seed", "-7"], "--seed does not apply to --family w"),
         (["--state", "{state}", "--p1", "3", "--theta", "2", "--seed", "9"],
          "--p1 does not apply to --state"),
@@ -241,7 +252,8 @@ class TestAnalyze:
          "--seed does not apply to --family canonical-b"),
         (["--family", "haar", "--p5", "0.1", "--seed", "3"],
          "--p5 does not apply to --family haar"),
-    ], ids=["ghz", "w", "state-file", "bell-product", "canonical-a", "canonical-b", "haar"])
+    ], ids=["ghz", "ghz-p1", "w", "state-file", "bell-product", "canonical-a", "canonical-b",
+            "haar"])
     def test_option_the_state_is_not_built_from_exits_2(self, tmp_path, capsys, flags,
                                                           message):
         path = tmp_path / "ghz.json"
@@ -279,6 +291,7 @@ class TestAnalyze:
          "--p4", "0.15", "--theta", "2.5"],
         ["--family", "canonical-b", "--p1", "0.5", "--p2", "0.4", "--p3", "0.3", "--p4", "0.2"],
         ["--family", "haar", "--seed", "7"],
+        pytest.param(["--family", "haar"], id="haar-default-seed"),
     ], ids=lambda flags: flags[1])
     @pytest.mark.parametrize("pivot", ["A", "B", "C"])
     @pytest.mark.parametrize("tol", [[], ["--tol", "0.5"]], ids=["default-tol", "tol-0.5"])
@@ -406,6 +419,11 @@ class TestDispatch:
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["pivot"] == "C"
         monkeypatch.setattr("sys.argv", ["qmono"])
         assert _exit_of(cli.main, None, capsys)[0] == 1
+        # a subcommand's help and an option prefix go through its own parser
+        monkeypatch.setattr("sys.argv", ["qmono", "analyze", "-h"])
+        assert _exit_of(cli.main, None, capsys)[0] == 0
+        monkeypatch.setattr("sys.argv", ["qmono", "analyze", "--fam", "ghz"])
+        assert cli.main() == 0
 
     def test_a_subcommand_skips_the_top_level_parse(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -448,9 +466,10 @@ class TestEnsemble:
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "runs.json"
-        run_cli(["ensemble", "--family", "ghz", "--n", "2", "--out", str(out),
-                 "--format", "json"])
-        assert len(json.loads(out.read_text())) == 2
+        for family, n in (("ghz", 2), ("haar", 5)):
+            assert run_cli(["ensemble", "--family", family, "--n", str(n), "--out", str(out),
+                            "--format", "json"]) == 0
+            assert len(json.loads(out.read_text())) == n
 
     @pytest.mark.parametrize("tol", ["--tol=nan", "--tol=inf", "--tol=-inf"])
     def test_non_finite_tol_exits_2(self, tmp_path, capsys, tol):
@@ -470,10 +489,23 @@ class TestEnsemble:
     @pytest.mark.parametrize("family", ["ghz", "w"])
     def test_negative_seed_exits_2_for_unsampled_families(self, tmp_path, capsys, family):
         out = tmp_path / "runs.csv"
-        assert run_cli(["ensemble", "--family", family, "--n", "2",
-                        "--seed", "-5", "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
-        assert not out.exists()
+        for seed in ("-5", "-1"):
+            assert run_cli(["ensemble", "--family", family, "--n", "2",
+                            "--seed", seed, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "error: seed must fit in an unsigned 64-bit integer\n")
+            assert not out.exists()
+
+    def test_csv_numbers_are_the_percent_17g_text(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert run_cli(["ensemble", "--family", "canonical-b", "--n", "50000", "--seed", "9",
+                        "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        bad = [(row["index"], key, cell) for row in rows for key, cell in row.items()
+               if key not in ("index", "family", "class") and cell != "%.17g" % float(cell)]
+        assert len(rows) == 50000 and not bad, (len(rows), bad[:5])
 
     def test_invariant_violation_exits_3_but_writes(self, tmp_path, capsys, monkeypatch):
         def tampered(run):
@@ -499,6 +531,18 @@ class TestEnsemble:
             err = capsys.readouterr().err
             assert err.startswith("invariant violation: row 0: tau closure off by ")
             assert err.count("\n") == 1
+
+
+def _scan_in_both_formats(tmp_path, capsys, family, lo, hi, steps):
+    """The stdout of one scan run to CSV and to JSON, the CSV rows and the JSON records."""
+    stdouts = []
+    for fmt in ("csv", "json"):
+        assert run_cli(["scan", "--family", family, "--from", lo, "--to", hi, "--steps", steps,
+                        "--format", fmt, "--out", str(tmp_path / f"s.{fmt}")]) == 0
+        stdouts.append(capsys.readouterr().out)
+    with open(tmp_path / "s.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return stdouts, rows, json.loads((tmp_path / "s.json").read_text())
 
 
 class TestScan:
@@ -536,9 +580,59 @@ class TestScan:
         assert run_cli(["analyze", "--family", "canonical-a", "--p1", "0", *coefficients,
                         "--format", "csv"]) == 0
         (report,) = csv.DictReader(capsys.readouterr().out.strip().splitlines()[-2:])
-        assert row["note"] == "" and row["p5"] == "0"
+        assert row["index"] == "0" and row["note"] == "" and row["p5"] == "0"
         assert last["note"].startswith("infeasible")
-        assert {k: row[k] for k in METRIC_KEYS} == {k: report[k] for k in METRIC_KEYS}
+        keys = _CANONICAL_KEYS + METRIC_KEYS
+        assert {k: row[k] for k in keys} == {k: report[k] for k in keys}
+
+    def test_figure_2_grid_point_is_the_analyze_row(self, tmp_path, capsys):
+        # analyze derives p5 as scan does: the scan row's parameters and metrics
+        out = tmp_path / "f2.csv"
+        assert run_cli(["scan", "--family", "canonical-a", "--from", "0.4", "--to", "0.5",
+                        "--steps", "101", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            row = list(csv.DictReader(fh))[93]
+        capsys.readouterr()
+        assert run_cli(["analyze", "--family", "canonical-a", "--p1", row["p1"], "--p2", "0.17",
+                        "--p3", "0.16", "--p4", "0.15", "--format", "csv"]) == 0
+        report = _analyze_csv_row(capsys.readouterr().out)
+        bad = [(key, row[key], report[key]) for key in _CANONICAL_KEYS + METRIC_KEYS
+               if row[key] != report[key]]
+        assert row["index"] == "93" and not bad, bad
+
+    def test_fixed_coefficients_are_the_given_or_the_sweep_defaults(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run_cli(["scan", "--family", "canonical-a", "--from", "0", "--to", "1",
+                        "--steps", "11", "--p2", "0.3", "--theta", "1.1", "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out, newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if not row["note"]]
+        want = {"p2": 0.3, "p3": 0.16, "p4": 0.15, "theta": 1.1}
+        assert rows and all({k: float(row[k]) for k in want} == want for row in rows), rows
+
+    def test_csv_and_json_hold_the_same_cells(self, tmp_path, capsys):
+        # JSON "" exactly where the CSV cell is empty, the same number elsewhere
+        _, rows, records = _scan_in_both_formats(tmp_path, capsys, "bell-product", "-0.5",
+                                                 "1.5", "21")
+        assert len(rows) == len(records) == 21 and any(row["note"] for row in rows), rows
+        for row, record in zip(rows, records):
+            assert list(row) == list(record), (row, record)
+            for key, cell in row.items():
+                value = record[key]
+                same = value == cell if cell == "" or isinstance(value, str) else float(cell) == value
+                assert same, (row["index"], key, cell, value)
+
+    def test_grid_without_a_state_is_empty_in_both_formats(self, tmp_path, capsys):
+        # every cell but index, family and note is empty in the CSV and "" in the JSON
+        stdouts, rows, records = _scan_in_both_formats(tmp_path, capsys, "canonical-a", "1.5",
+                                                       "2", "3")
+        assert stdouts == ["family=canonical-a steps=3 feasible=0 skipped=3\n"] * 2
+        keep = ("index", "family", "note")
+        assert len(rows) == len(records) == 3 and all(row["note"] for row in rows), rows
+        for row, record in zip(rows, records):
+            assert list(row) == list(record), (row, record)
+            assert all(row[key] == record[key] == "" for key in row if key not in keep), (
+                row, record)
 
     def test_overflowing_grid_point_is_infeasible(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
@@ -595,6 +689,7 @@ class TestScan:
         (["--p2", "nan"], "p2"),
         (["--p4", "0.1"], "p4"),
         (["--theta", "0"], "theta"),
+        (["--theta", "1"], "theta"),
     ])
     def test_bell_product_takes_no_fixed_coefficient(self, tmp_path, capsys, fixed, name):
         out = tmp_path / "scan.csv"
@@ -653,6 +748,24 @@ class TestFigures:
         assert capsys.readouterr().err == "error: seed must fit in an unsigned 64-bit integer\n"
         assert not (tmp_path / "figs").exists()
 
+    def test_svg_slots_are_the_percent_2f_text(self, tmp_path, capsys):
+        # every circle centre and polyline point of figures 1 and 2 is '%.2f' text
+        for which, n in ((2, 200), (1, 300)):
+            assert run_cli(["figures", "--which", str(which), "--n", str(n),
+                            "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        svg = "{http://www.w3.org/2000/svg}"
+        lines = ET.parse(tmp_path / "fig2.svg").findall(f".//{svg}polyline")
+        assert len(lines) == 3, lines
+        values = []
+        for name in ("fig1.svg", "fig2.svg"):
+            root = ET.parse(tmp_path / name).getroot()
+            values += [c.get(k) for c in root.iter(svg + "circle") for k in ("cx", "cy")]
+            values += [v for line in root.iter(svg + "polyline")
+                       for v in re.split("[ ,]", line.get("points"))]
+        bad = [v for v in values if v != "%.2f" % float(v)]
+        assert len(values) == 2 * 3 * (300 + 200) and not bad, (len(values), bad[:5])
+
     def test_svg_points_come_from_csv(self, tmp_path, capsys):
         # every plotted y value must appear in the CSV data columns
         run_cli(["figures", "--which", "3", "--seed", "4", "--n", "10",
@@ -683,10 +796,12 @@ class TestDiscrepancy:
             assert len(list(csv.DictReader(fh))) == len(rows)
 
     def test_json_matches_row_dicts(self, capsys):
-        assert run_cli(["discrepancy", "--family", "a", "--n", "30", "--seed", "4",
-                        "--format", "json"]) == 0
-        rows = experiments.run_discrepancy("canonical-a", n=30, seed=4)
-        assert capsys.readouterr().out == json.dumps(rows, indent=1) + "\n"
+        for flags, family, n, seed in ((["--family", "a", "--n", "30", "--seed", "4"],
+                                        "canonical-a", 30, 4),
+                                       (["--family", "b", "--n", "20"], "canonical-b", 20, 0)):
+            assert run_cli(["discrepancy", *flags, "--format", "json"]) == 0
+            rows = experiments.run_discrepancy(family, n=n, seed=seed)
+            assert capsys.readouterr().out == json.dumps(rows, indent=1) + "\n"
 
     def test_empty_sample_exits_2(self, capsys):
         assert run_cli(["discrepancy", "--family", "a", "--n", "0"]) == 2
@@ -697,13 +812,15 @@ class TestDiscrepancy:
         capsys.readouterr()
 
 
-# The argv shapes the benchmark and CI send; "{tmp}" stands for a scratch directory.
+# The argv shapes the benchmark sends, and the largest seed every sampled family
+# takes; "{tmp}" stands for a scratch directory.
 _CANONICAL_P = ["--p1", "0.4", "--p2", "0.17", "--p3", "0.16", "--p4", "0.15"]
 
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--family", "ghz"],
     ["analyze", "--family", "w", "--pivot", "B"],
+    ["analyze", "--family", "w", "--pivot", "B", "--format", "csv"],
     ["analyze", "--family", "bell-product", "--p1", "0.6666666666666666"],
     ["analyze", "--family", "canonical-a", *_CANONICAL_P, "--theta", "2.5"],
     ["analyze", "--family", "canonical-b", *_CANONICAL_P, "--pivot", "C"],
@@ -715,6 +832,9 @@ _CANONICAL_P = ["--p1", "0.4", "--p2", "0.17", "--p3", "0.16", "--p4", "0.15"]
     ["ensemble", "--family", "ghz", "--n", "2", "--seed", "18446744073709551615",
      "--out", "{tmp}/g.csv"],
     ["ensemble", "--family", "w", "--n", "2", "--seed", "9", "--out", "{tmp}/w.csv"],
+    *(["ensemble", "--family", family, "--n", "3", "--seed", "18446744073709551615",
+       "--out", "{tmp}/m.csv"] for family in ("haar", "bell-product", "canonical-a",
+                                              "canonical-b")),
     ["scan", "--family", "bell-product", "--from", "0", "--to", "1", "--steps", "11",
      "--out", "{tmp}/b.csv"],
     ["scan", "--family", "canonical-b", "--from", "0", "--to", "1.2", "--steps", "13",
@@ -739,6 +859,23 @@ def test_nan_tol_gives_one_message_everywhere(tmp_path, capsys, argv):
     assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv] + ["--tol", "nan"]) == 2
     assert capsys.readouterr() == ("", "error: tol must be finite, got nan\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# Every JSON float token is the repr of its double, on a scan and an ensemble
+# each of more than 10 000 tokens.
+@pytest.mark.parametrize("argv", [
+    ["scan", "--family", "canonical-b", "--from", "0", "--to", "1.2", "--steps", "1201",
+     "--pivot", "B", "--format", "json", "--out", "{tmp}/r.json"],
+    ["ensemble", "--family", "haar", "--n", "2000", "--seed", "7", "--format", "json",
+     "--out", "{tmp}/r.json"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_json_float_tokens_are_reprs(tmp_path, capsys, argv):
+    assert run_cli([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 0
+    tokens = []
+    with open(tmp_path / "r.json") as fh:
+        json.load(fh, parse_float=lambda t: tokens.append(t) or float(t))
+    bad = [t for t in tokens if t != repr(float(t))]
+    assert len(tokens) > 10000 and not bad, (len(tokens), bad[:5])
 
 
 # Counts past the most elements any array can hold (2**60 float64) are refused

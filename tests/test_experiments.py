@@ -177,6 +177,15 @@ class TestValidateRows:
         assert np.isnan(table["c2_ab"][2])
         experiments.validate_rows(table)
 
+    def test_rejects_a_cell_just_above_1(self):
+        # the closure c2_abc = 0 + 0 + tau is exact, so only the [0, 1] bound sees the row
+        table = {"index": np.array([0]), **{k: np.zeros(1) for k in METRIC_KEYS},
+                 "class": np.array(["saturated"])}
+        table["c2_abc"] = table["tau"] = np.array([1.0 + 1e-10])
+        with pytest.raises(experiments.InvariantViolation,
+                           match=r"^row 0: c2_abc = 1\.0000000001 outside \[0, 1\]$"):
+            experiments.validate_rows(table)
+
     def test_reports_first_row_and_its_first_failed_check(self):
         table, _ = experiments.run_ensemble(**small_config())
         table["tau"][7] = 2.0

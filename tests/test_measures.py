@@ -144,6 +144,13 @@ class TestConcurrenceMixed:
     def test_werner_closed_form(self, p, want):
         assert measures.concurrence_mixed(werner(p)) == pytest.approx(want, abs=1e-12)
 
+    def test_full_rank_bell_diagonal_closed_form(self):
+        # distinct weights, so lambda_3 != lambda_4: C = 2 max w - 1 = 0.4
+        s = 1.0 / math.sqrt(2.0)
+        bell = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]], dtype=complex)
+        rho = sum(w * np.outer(b, b.conj()) for w, b in zip((0.7, 0.15, 0.1, 0.05), bell))
+        assert measures.concurrence_mixed(rho) == pytest.approx(0.4, abs=1e-12)
+
     def test_batch_matches_loop(self, rng):
         rhos = []
         for _ in range(8):

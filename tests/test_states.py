@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -54,9 +55,11 @@ class TestNamedStates:
     def test_bell_product_endpoints_normalized(self, p1):
         assert np.sum(np.abs(states.make_bell_product(p1)) ** 2) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("p1", [-0.1, 1.1, float("nan")])
+    @pytest.mark.parametrize("p1", [-0.1, 1.1, float("nan"), np.nextafter(1.0, 2.0)])
     def test_bell_product_rejects_bad_weight(self, p1):
-        with pytest.raises(ValueError):
+        # an ulp above 1 is refused by name, before sqrt(1 - p1) meets a negative
+        message = f"p1 must lie in [0, 1], got {float(p1)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             states.make_bell_product(p1)
 
 
