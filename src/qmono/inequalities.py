@@ -30,21 +30,29 @@ so the tight bound is saturated exactly when the pivot's two partners
 are equally mixed.  The tight form dominates the product form (gap_tight
 <= gap_fei), and its gap obeys (C^2_X(YZ))^2 - rhs_tight^2 = (C^2_XY -
 C^2_XZ)^2.
+
+monogamy_table and build_report derive the columns in one body,
+_columns, from the three invariants: on arrays for a stack, on Python
+floats for one state.  Both take the complex part of the invariants
+(measures.pure_state_forms) from numpy, whose complex products and
+moduli carry its SIMD dispatch in their bits; everything after it is
++ - * /, sqrt and a clamp, correctly rounded on either carrier, so a
+report is one row of the table bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .measures import pure_state_invariants
+from .measures import invariants_from_forms, pure_state_forms, pure_state_invariants
 
 __all__ = [
     "SATURATION_TOL",
     "MonogamyReport",
-    "fei_rhs_values",
     "classify",
     "classify_gaps",
     "build_report",
@@ -84,11 +92,6 @@ class MonogamyReport:
     raw_unclamped: dict
 
 
-def fei_rhs_values(c2_ab, c2_ac, tau):
-    """2 sqrt(C^2_XY C^2_XZ + tau^2 / 4) from plain values (stacked ok)."""
-    return 2.0 * np.sqrt(np.asarray(c2_ab) * np.asarray(c2_ac) + np.asarray(tau) ** 2 / 4.0)
-
-
 def _check_tol(tol):
     """Reject a gap tolerance that is not a finite positive number."""
     if not math.isfinite(tol):
@@ -111,7 +114,68 @@ def classify(report: MonogamyReport, tol: float = SATURATION_TOL) -> str:
     A 'violated' label means the gap is negative beyond tolerance, which
     signals a numerical or implementation bug, never physics.
     """
-    return str(classify_gaps(report.gap_tight, tol))
+    return classify_gaps(report.gap_tight, tol).item()
+
+
+class _Ops(NamedTuple):
+    """What the column body takes from its operand type."""
+
+    sqrt: Callable
+    clip: Callable  # clip(x, lo, hi)
+    divide_or_zero: Callable  # n / d where d > 0, else 0
+
+
+def _array_divide_or_zero(n, d):
+    return np.divide(n, d, out=np.zeros(n.shape), where=d > 0.0)
+
+
+def _float_divide_or_zero(n, d):
+    return n / d if d > 0.0 else 0.0
+
+
+def _float_clip(x, lo, hi):
+    return lo if x < lo else hi if x > hi else x
+
+
+_NUMPY_OPS = _Ops(np.sqrt, np.clip, _array_divide_or_zero)
+_MATH_OPS = _Ops(math.sqrt, _float_clip, _float_divide_or_zero)
+
+
+def _columns(t_ab, t_ac, raw_tau, ops):
+    """Every monogamy_table column from (T_XY, T_XZ, tau): one body for stacks and floats.
+
+    ops is _NUMPY_OPS for arrays and _MATH_OPS for Python floats.  Apart
+    from them the body is + - * / alone, each correctly rounded, so the two
+    agree bit for bit.  Squares are x * x: numpy's ** 2 is a multiply, but
+    Python's calls pow.
+    """
+    sqrt, clip, divide_or_zero = ops
+    half_tau = raw_tau / 2.0
+    raw_c2_ab = t_ab - half_tau
+    raw_c2_ac = t_ac - half_tau
+    raw_c2_abc = t_ab + t_ac
+    c2_ab, c2_ac, c2_abc, tau = (clip(x, 0.0, 1.0) for x in (raw_c2_ab, raw_c2_ac, raw_c2_abc, raw_tau))
+    # the product-form RHS, 2 sqrt(C^2_XY C^2_XZ + tau^2 / 4)
+    rhs_f = 2.0 * sqrt(c2_ab * c2_ac + tau * tau / 4.0)
+    # (C^2_X(YZ))^2 - rhs_fei^2 as a sum of non-negative terms; numerator
+    # and denominator are 0 only together (a product state), gap 0.
+    t_diff = t_ab - t_ac
+    gap_f = divide_or_zero(t_diff * t_diff + 2.0 * tau * (c2_ab + c2_ac), c2_abc + rhs_f)
+    root_diff = sqrt(t_ab) - sqrt(t_ac)
+    return {
+        "c2_ab": c2_ab,
+        "c2_ac": c2_ac,
+        "c2_abc": c2_abc,
+        "tau": tau,
+        "rhs_fei": rhs_f,
+        "rhs_tight": 2.0 * sqrt(t_ab * t_ac),
+        "gap_fei": gap_f,
+        "gap_tight": root_diff * root_diff,
+        "raw_c2_ab": raw_c2_ab,
+        "raw_c2_ac": raw_c2_ac,
+        "raw_c2_abc": raw_c2_abc,
+        "raw_tau": raw_tau,
+    }
 
 
 def monogamy_table(psis, pivot: str = "A") -> dict:
@@ -123,32 +187,7 @@ def monogamy_table(psis, pivot: str = "A") -> dict:
     The *_ab entries refer to the pair (pivot, first partner in label
     order), *_ac to the second partner.
     """
-    t_ab, t_ac, raw_tau = pure_state_invariants(psis, pivot)
-    half_tau = raw_tau / 2.0
-    raw_c2_ab = t_ab - half_tau
-    raw_c2_ac = t_ac - half_tau
-    raw_c2_abc = t_ab + t_ac
-    c2_ab, c2_ac, c2_abc, tau = np.array([raw_c2_ab, raw_c2_ac, raw_c2_abc, raw_tau]).clip(0.0, 1.0)
-    rhs_f = fei_rhs_values(c2_ab, c2_ac, tau)
-    # (C^2_X(YZ))^2 - rhs_fei^2 as a sum of non-negative terms; numerator
-    # and denominator are 0 only together (a product state), gap 0.
-    fei_num = (t_ab - t_ac) ** 2 + 2.0 * tau * (c2_ab + c2_ac)
-    fei_den = c2_abc + rhs_f
-    gap_f = np.divide(fei_num, fei_den, out=np.zeros(fei_num.shape), where=fei_den > 0.0)
-    return {
-        "c2_ab": c2_ab,
-        "c2_ac": c2_ac,
-        "c2_abc": c2_abc,
-        "tau": tau,
-        "rhs_fei": rhs_f,
-        "rhs_tight": 2.0 * np.sqrt(t_ab * t_ac),
-        "gap_fei": gap_f,
-        "gap_tight": (np.sqrt(t_ab) - np.sqrt(t_ac)) ** 2,
-        "raw_c2_ab": raw_c2_ab,
-        "raw_c2_ac": raw_c2_ac,
-        "raw_c2_abc": raw_c2_abc,
-        "raw_tau": raw_tau,
-    }
+    return _columns(*pure_state_invariants(psis, pivot), _NUMPY_OPS)
 
 
 def _signed_root(c2: float) -> float:
@@ -156,12 +195,20 @@ def _signed_root(c2: float) -> float:
 
 
 def build_report(psi, pivot: str = "A") -> MonogamyReport:
-    """One row of monogamy_table as a MonogamyReport; classify labels it."""
+    """One row of monogamy_table as a MonogamyReport; classify labels it.
+
+    The complex part of the invariants runs on the (1, 8) stack, as in
+    the table.  Its forms, |det G| and <psi|psi> then leave numpy, and the
+    real part and the column body run on Python floats: the same bits as
+    the table's row, at a fraction of the numpy calls on one-element arrays.
+    """
     psi = np.asarray(psi, dtype=np.complex128)
     if psi.ndim != 1:
         raise ValueError(f"build_report takes one state, got shape {psi.shape}")
-    table = monogamy_table(psi[None, :], pivot)
-    vals = {k: float(v[0]) for k, v in table.items()}
+    g_xy, g_xz, abs_det, norm2 = pure_state_forms(psi[None, :], pivot)
+    invariants = invariants_from_forms(tuple(g.item() for g in g_xy), tuple(g.item() for g in g_xz),
+                                       abs_det.item(), norm2.item())
+    vals = _columns(*invariants, _MATH_OPS)
     return MonogamyReport(
         pivot=pivot,
         **{k: vals[k] for k in METRIC_KEYS},

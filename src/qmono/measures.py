@@ -25,6 +25,11 @@ one state costs a handful of numpy calls per traced qubit.
 * The two pair traces of a pivot X add up to the one-to-rest concurrence,
   C^2_X(YZ) = T_XY + T_XZ (the CKW closure).
 
+pure_state_invariants runs in two parts.  pure_state_forms, the complex
+part, gives the forms G, |det G| and <psi|psi>, always through numpy;
+invariants_from_forms, the real part, turns them into (T_XY, T_XZ, tau)
+with + - * / alone, on numpy arrays or on Python numbers.
+
 Reports are built from (T_XY, T_XZ, tau) alone, so the closure C^2_X(YZ)
 = C^2_XY + C^2_XZ + tau holds by construction.  The one-qubit purity,
 C^2_X(YZ) = 2 (1 - Tr rho_X^2), is kept as concurrence_bipartition: an
@@ -67,6 +72,8 @@ __all__ = [
     "concurrence_mixed",
     "concurrence_pure_2q",
     "concurrence_bipartition",
+    "pure_state_forms",
+    "invariants_from_forms",
     "pure_state_invariants",
     "residual_tangle",
     "residual_tangle_lambda",
@@ -185,6 +192,41 @@ def _abs2(z):
     return z.real * z.real + z.imag * z.imag
 
 
+def pure_state_forms(psi, pivot="A"):
+    """The complex part of pure_state_invariants: (G_XY, G_XZ, |det G|, <psi|psi>).
+
+    G_XY and G_XZ are the (G_00, G_01, G_11) flip forms of the pairs (X, Y)
+    and (X, Z), X the pivot and Y, Z its partners in label order; det G is
+    that of the pair (A, B) at every pivot.  These stay numpy at every
+    stack size: the bits of numpy's complex products and of np.abs (a
+    hypot) depend on its SIMD dispatch, and of its 0-d scalars too, so one
+    state goes in as a (1, 8) stack to get the bits of a table row.
+    """
+    pair1, pair2 = pivot_pairs(pivot)
+    psi = np.asarray(psi, dtype=np.complex128)
+    norm2 = checked_norm2(psi)
+    # the pair (X, Y) traces out Z and the pair (X, Z) traces out Y
+    forms = {q: _flip_form(psi, QUBIT_POSITION[q]) for q in {pair1[1], pair2[1], "C"}}
+    g00, g01, g11 = forms["C"]
+    return forms[pair2[1]], forms[pair1[1]], np.abs(g01 * g01 - g00 * g11), norm2
+
+
+def _pair_trace(g, norm4):
+    g00, g01, g11 = g
+    return (_abs2(g00) + 2.0 * _abs2(g01) + _abs2(g11)) / norm4
+
+
+def invariants_from_forms(g_xy, g_xz, abs_det, norm2):
+    """The real part of pure_state_invariants: (T_XY, T_XZ, tau) from pure_state_forms.
+
+    Only + - * / on the forms' .real and .imag, each correctly rounded,
+    so the same body gives the same bits on numpy arrays and on Python
+    complex numbers and floats.
+    """
+    norm4 = norm2 * norm2
+    return _pair_trace(g_xy, norm4), _pair_trace(g_xz, norm4), 4.0 * abs_det / norm4
+
+
 def pure_state_invariants(psi, pivot="A"):
     """(T_XY, T_XZ, tau) of pure three-qubit states, every report column's source.
 
@@ -194,20 +236,7 @@ def pure_state_invariants(psi, pivot="A"):
     the three is negative.  Then C^2_XY = T_XY - tau / 2 and C^2_X(YZ) =
     T_XY + T_XZ.
     """
-    pair1, pair2 = pivot_pairs(pivot)
-    psi = np.asarray(psi, dtype=np.complex128)
-    norm2 = checked_norm2(psi)
-    norm4 = norm2 * norm2
-    # the pair (X, Y) traces out Z and the pair (X, Z) traces out Y
-    forms = {q: _flip_form(psi, QUBIT_POSITION[q]) for q in {pair1[1], pair2[1], "C"}}
-    g00, g01, g11 = forms["C"]
-    tau = 4.0 * np.abs(g01 * g01 - g00 * g11) / norm4
-
-    def pair_trace(traced):
-        g00, g01, g11 = forms[traced]
-        return (_abs2(g00) + 2.0 * _abs2(g01) + _abs2(g11)) / norm4
-
-    return pair_trace(pair2[1]), pair_trace(pair1[1]), tau
+    return invariants_from_forms(*pure_state_forms(psi, pivot))
 
 
 def residual_tangle(psi, pivot="A"):

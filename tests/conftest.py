@@ -37,3 +37,17 @@ EDGE_STATE = [
     [-0.11984862678818015, -0.041329178328465006], [-0.1972347369687126, 0.2909414289783937],
     [0.41422031513532676, -0.4320288036699767], [0.14370378016154986, -0.1386288341554569],
 ]
+
+
+def locally_rotated(psi, n, seed):
+    """n copies of the k-qubit state psi, each under its own random local unitary U_1 x ... x U_k.
+
+    The unitaries come from QR of complex Gaussian matrices drawn from seed.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(np.log2(len(psi)))
+    t = np.broadcast_to(np.asarray(psi, dtype=complex), (n, len(psi))).reshape((n,) + (2,) * k)
+    for q in range(1, k + 1):
+        u = np.linalg.qr(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))[0]
+        t = np.moveaxis(np.einsum("nij,n...j->n...i", u, np.moveaxis(t, q, -1)), -1, q)
+    return t.reshape(n, -1)

@@ -1,7 +1,11 @@
 """Monogamy bound reports: goldens, dominance, and the gap identity."""
 
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 
 from qmono import inequalities, measures, states
 
-from conftest import random_pure_state
+from conftest import EDGE_STATE, locally_rotated, random_pure_state
 
 
 class TestGoldens:
@@ -137,6 +141,53 @@ def select_labels(gap_tight, tol):
     return np.select([np.abs(g) <= tol, g < -tol], ["saturated", "violated"], default="strict")
 
 
+def report_row_mismatches(psis, pivot):
+    """(row, field) of every MonogamyReport field that is not its monogamy_table cell, by .hex()."""
+    table = {k: v.tolist() for k, v in inequalities.monogamy_table(psis, pivot).items()}
+    bad = []
+    for i, psi in enumerate(psis):
+        r = inequalities.build_report(psi, pivot)
+        got = {**{k: getattr(r, k) for k in REPORT_FIELDS},
+               **{"raw_" + k: v for k, v in r.raw_unclamped.items()}}
+        want = {k: table[k][i] for k in REPORT_FIELDS + ("raw_c2_abc", "raw_tau")}
+        for c in ("c_ab", "c_ac"):
+            c2 = table["raw_c2" + c[1:]][i]
+            want["raw_" + c] = math.copysign(math.sqrt(abs(c2)), c2)
+        assert r.pivot == pivot and got.keys() == want.keys()
+        bad += [(i, k) for k in want if got[k].hex() != want[k].hex()]
+    return bad
+
+
+def fixed_state_set():
+    """2000 Haar states of seed 33, then named states where reports are decided."""
+    rng = np.random.default_rng(33)
+    named = [states.make_ghz(), states.make_w(), states.make_w() + 3e-7 * states.make_ghz(),
+             np.array([complex(*pair) for pair in EDGE_STATE])]
+    named += [states.make_bell_product(p1) for p1 in (0.0, 2.0 / 3.0, 1.0)]
+    named += [state_of_kind(kind, rng) for kind in ("canonical-a", "canonical-b") for _ in range(50)]
+    return np.vstack([states.sample_haar_batch(33, 2000), named])
+
+
+def fixed_set_mismatches():
+    """report_row_mismatches of fixed_state_set at every pivot, as [pivot, row, field] lists."""
+    psis = fixed_state_set()
+    return [[pivot, i, k] for pivot in "ABC" for i, k in report_row_mismatches(psis, pivot)]
+
+
+def dispatched_above_baseline():
+    """The CPU features numpy dispatches to on this host, none of them baseline.
+
+    NPY_DISABLE_CPU_FEATURES takes only names from numpy's dispatch list,
+    so the available features (__cpu_features__) are read through it.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__
+            if umath.__cpu_features__.get(f) and f not in umath.__cpu_baseline__]
+
+
 class TestOneRoute:
     """build_report is one row of monogamy_table, and classify_gaps is the
     np.select labelling, both bit for bit."""
@@ -148,17 +199,28 @@ class TestOneRoute:
     def test_report_is_a_table_row_bit_for_bit(self, pivot, kinds, seed):
         rng = np.random.default_rng(seed)
         psis = np.array([state_of_kind(kind, rng) for kind in kinds])
-        table = inequalities.monogamy_table(psis, pivot)
-        for i, psi in enumerate(psis):
-            r = inequalities.build_report(psi, pivot)
-            assert r.pivot == pivot
-            for key in REPORT_FIELDS:
-                assert getattr(r, key).hex() == float(table[key][i]).hex(), (kinds[i], key)
-            raw = {k: float(table["raw_" + k][i]) for k in ("c2_ab", "c2_ac", "c2_abc", "tau")}
-            want = {"c_ab": math.copysign(math.sqrt(abs(raw["c2_ab"])), raw["c2_ab"]),
-                    "c_ac": math.copysign(math.sqrt(abs(raw["c2_ac"])), raw["c2_ac"]),
-                    "c2_abc": raw["c2_abc"], "tau": raw["tau"]}
-            assert {k: v.hex() for k, v in r.raw_unclamped.items()} == {k: v.hex() for k, v in want.items()}
+        assert report_row_mismatches(psis, pivot) == []
+
+    def test_report_is_a_table_row_on_the_fixed_set(self):
+        assert fixed_set_mismatches() == []
+
+    def test_report_is_a_table_row_at_baseline_dispatch(self):
+        # numpy's complex products and moduli change bits with its SIMD
+        # level; the report must follow the table at every level
+        features = dispatched_above_baseline()
+        if not features:
+            pytest.skip("numpy dispatches to nothing above its baseline on this host")
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(inequalities.__file__)))
+        path = os.pathsep.join(filter(None, [tests_dir, src_dir, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features), PYTHONPATH=path)
+        child = ("import json, test_inequalities as t; "
+                 "print(json.dumps([t.dispatched_above_baseline(), t.fixed_set_mismatches()]))")
+        out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        left, mismatches = json.loads(out.stdout.splitlines()[-1])
+        assert left == []
+        assert mismatches == []
 
     @given(gaps=st.lists(st.floats(), max_size=20), tol=st.floats(1e-300, 1e3))
     @settings(max_examples=200, deadline=None)
@@ -345,6 +407,26 @@ class TestExactByConstruction:
                                    atol=1e-14)
         np.testing.assert_allclose(table["gap_fei"], table["c2_abc"] - table["rhs_fei"],
                                    atol=1e-14)
+
+    @pytest.mark.parametrize("pivot", ["A", "B", "C"])
+    def test_gap_fei_is_c2_abc_minus_rhs_fei_to_relative_roundoff(self, pivot):
+        table = inequalities.monogamy_table(states.sample_haar_batch(17, 2000), pivot)
+        away = table["gap_fei"] > 1e-3
+        assert away.sum() > 1000
+        np.testing.assert_allclose(table["gap_fei"][away], (table["c2_abc"] - table["rhs_fei"])[away],
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pivot", ["A", "B", "C"])
+    def test_clamped_columns_stay_at_1_on_rotated_ghz(self, pivot):
+        # GHZ under local unitaries has c2_abc = tau = 1; many raw values land
+        # a few ulps above 1, and no clamped one may
+        psis = locally_rotated(states.make_ghz(), 500, 5)
+        table = inequalities.monogamy_table(psis, pivot)
+        assert (table["raw_c2_abc"] > 1.0).any() and (table["raw_tau"] > 1.0).any()
+        reports = [inequalities.build_report(psi, pivot) for psi in psis]
+        for key in ("c2_ab", "c2_ac", "c2_abc", "tau"):
+            assert table[key].max() <= 1.0
+            assert max(getattr(r, key) for r in reports) <= 1.0
 
     @pytest.mark.parametrize("pivot", ["A", "B", "C"])
     def test_pair_trace_difference_is_partner_purity_difference(self, pivot):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qmono import linalg, measures, states
 
-from conftest import random_density, random_pure_state
+from conftest import locally_rotated, random_density, random_pure_state
 
 
 def bell_psi_minus():
@@ -36,6 +36,13 @@ def random_local_unitary(rng):
         q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         return q * (np.diag(r) / np.abs(np.diag(r)))
     return np.kron(one(rng), one(rng))
+
+
+def bell_diagonal(weights):
+    """sum_k w_k |B_k><B_k| over the four Bell states; its lambdas are the weights."""
+    s = 1.0 / math.sqrt(2.0)
+    bell = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]], dtype=complex)
+    return sum(w * np.outer(b, b.conj()) for w, b in zip(weights, bell))
 
 
 def werner(p):
@@ -105,6 +112,13 @@ class TestLambdaSpectrum:
                                    atol=1e-15, rtol=0)
         assert measures.concurrence_mixed(rho) == pytest.approx(1.0 - 2.0 * p, abs=1e-15)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-12])
+    def test_lambdas_scale_with_rho(self, scale):
+        # the rank cut is relative to rho's largest eigenvalue, so at 1e-8 it
+        # keeps all four weights, where a cut of RANK_CUT / w_max would drop all
+        lam = measures.lambda_spectrum(scale * bell_diagonal((0.7, 0.15, 0.1, 0.05)))
+        np.testing.assert_allclose(lam, scale * np.array([0.7, 0.15, 0.1, 0.05]), rtol=1e-12, atol=0)
+
     def test_maximally_mixed(self):
         lam = measures.lambda_spectrum(np.eye(4, dtype=complex) / 4.0)
         np.testing.assert_allclose(lam, 0.25, atol=1e-12)
@@ -146,10 +160,20 @@ class TestConcurrenceMixed:
 
     def test_full_rank_bell_diagonal_closed_form(self):
         # distinct weights, so lambda_3 != lambda_4: C = 2 max w - 1 = 0.4
-        s = 1.0 / math.sqrt(2.0)
-        bell = np.array([[s, 0, 0, s], [s, 0, 0, -s], [0, s, s, 0], [0, s, -s, 0]], dtype=complex)
-        rho = sum(w * np.outer(b, b.conj()) for w, b in zip((0.7, 0.15, 0.1, 0.05), bell))
+        rho = bell_diagonal((0.7, 0.15, 0.1, 0.05))
         assert measures.concurrence_mixed(rho) == pytest.approx(0.4, abs=1e-12)
+
+    def test_clamped_at_1_on_rotated_bell_pairs(self):
+        # a Bell pair under local unitaries: about a fifth of the raw
+        # lambda_1 - lambda_2 - lambda_3 - lambda_4 land a few ulps above 1
+        psi = locally_rotated(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), 500, 3)
+        rho = np.einsum("ni,nj->nij", psi, psi.conj())
+        lam = measures.lambda_spectrum(rho)
+        raw = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+        assert (raw > 1.0).any()
+        c = measures.concurrence_mixed(rho)
+        assert c.max() <= 1.0
+        np.testing.assert_allclose(c, 1.0, rtol=0, atol=1e-14)
 
     def test_batch_matches_loop(self, rng):
         rhos = []
@@ -271,6 +295,16 @@ class TestTangle:
         for pair in (("A", "B"), ("A", "C"), ("B", "C")):
             got = measures.residual_tangle_lambda(psi, pair)
             assert got == pytest.approx(tau, rel=1e-6, abs=0)
+
+    def test_lambda_route_clamped_at_1_on_rotated_ghz(self):
+        # GHZ under local unitaries has tau = 1; about two fifths of the raw
+        # 4 lambda_1 lambda_2 of its AB marginal land a few ulps above 1
+        psis = locally_rotated(states.make_ghz(), 500, 4)
+        lam = measures.lambda_spectrum(linalg.partial_trace(psis, ("A", "B")))
+        assert (4.0 * lam[:, 0] * lam[:, 1] > 1.0).any()
+        tau = measures.residual_tangle_lambda(psis, ("A", "B"))
+        assert tau.max() <= 1.0
+        np.testing.assert_allclose(tau, 1.0, rtol=0, atol=1e-14)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
