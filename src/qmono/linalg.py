@@ -1,11 +1,11 @@
-"""Dense complex linear algebra for qubit-sized problems (dims 2, 4, 8).
+"""Basis convention, the norm window and partial traces of three-qubit states.
 
-Everything here accepts stacked inputs: a matrix of shape (..., d, d) or
-a state of shape (..., d), d = 8 for three qubits and 4 for two, is
-processed along the leading axes in one vectorized pass.  The Hermitian
-eigensolve is numpy's LAPACK eigh, behind shape, finiteness and
-Hermiticity checks; a solver that fails to converge raises
-numpy.linalg.LinAlgError, a ValueError.
+The basis state |abc> has index 4a + 2b + c, qubit A most significant.
+Every state entry point takes <psi|psi> from checked_norm2, which rejects
+norms outside the NORM_TOL window.  partial_trace gives the one- or
+two-qubit marginal of a pure state, divided by <psi|psi>.  Both accept
+stacked states, of shape (..., 8) for three qubits (or (..., 4) for two,
+in checked_norm2), and work along the leading axes in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -19,31 +19,16 @@ __all__ = [
     "SPIN_FLIP_4",
     "checked_norm2",
     "partial_trace",
-    "hermitian_eigensystem",
 ]
 
-# Basis convention: |abc> has index 4a + 2b + c, qubit A most significant.
 QUBIT_LABELS = ("A", "B", "C")
 QUBIT_POSITION = {"A": 0, "B": 1, "C": 2}
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SPIN_FLIP_4 = np.kron(SIGMA_Y, SIGMA_Y)
 
-# Hermiticity acceptance threshold (max entrywise |m - m^dag|).
-HERMITIAN_TOL = 1e-10
 # Norm window: every state entry point requires |norm(psi) - 1| <= NORM_TOL (checked_norm2).
 NORM_TOL = 1e-6
-
-
-def _as_matrix(m, name="matrix"):
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if a.shape[-1] not in (2, 4, 8):
-        raise ValueError(f"{name} dimension must be 2, 4 or 8, got {a.shape[-1]}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return a
 
 
 def checked_norm2(psi, size=8):
@@ -94,19 +79,3 @@ def partial_trace(psi, keep=("A", "B")):
     rho = np.einsum("...ik,...jk->...ij", m, np.conj(m))
     return rho / norm2[..., None, None]
 
-
-def _check_hermitian(a, name):
-    dev = np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))))
-    if dev > HERMITIAN_TOL:
-        raise ValueError(f"{name} is not Hermitian (max |m - m^dag| = {dev:.3e})")
-
-
-def hermitian_eigensystem(m):
-    """Eigenvalues (descending) and a unitary of matching eigenvectors.
-
-    Column k of the returned vectors is the eigenvector of eigenvalue k.
-    """
-    a = _as_matrix(m)
-    _check_hermitian(a, "matrix")
-    w, v = np.linalg.eigh(a)
-    return w[..., ::-1], v[..., ::-1]

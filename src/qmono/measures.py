@@ -45,9 +45,9 @@ rho rho_tilde, the concurrence is max(lambda_1 - lambda_2 - lambda_3 -
 lambda_4, 0).  Following Wootters' construction, write rho = X X^dag;
 the lambdas are then the singular values of the symmetric matrix
 X^T (sigma_y x sigma_y) X, and no square root of the noisy spectrum of
-rho rho_tilde is taken.  The one eigensolve of this route is numpy's LAPACK eigh of rho
-(through linalg).
-It also serves as the independent check of the pure-state route:
+rho rho_tilde is taken.  The one eigensolve of this route is numpy's
+LAPACK eigh of rho, which lambda_spectrum calls itself.  The route also
+serves as the independent check of the pure-state route:
 residual_tangle_lambda gives tau as 4 lambda_1 lambda_2 of one marginal.
 
 All functions accept stacked inputs along leading axes.
@@ -62,7 +62,6 @@ from .linalg import (
     QUBIT_POSITION,
     SPIN_FLIP_4,
     checked_norm2,
-    hermitian_eigensystem,
     partial_trace,
 )
 
@@ -81,7 +80,9 @@ __all__ = [
     "pivot_pairs",
 ]
 
-# Inputs with an eigenvalue below -PSD_TOL are rejected as not PSD.
+# lambda_spectrum rejects a matrix with an entrywise |m - m^dag| above
+# HERMITIAN_TOL, or with an eigenvalue below -PSD_TOL times its trace.
+HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 
 # _PAIR_INDEX[q]: the basis indices of the amplitudes (m_k)_ij, traced qubit
@@ -95,16 +96,16 @@ _PAIR_INDEX = tuple(tuple(np.moveaxis(np.arange(8).reshape(2, 2, 2), q, -1).rave
 RANK_CUT = 16.0 * np.finfo(np.float64).eps
 
 
-def _as_square(rho, d, name):
+def _as_square(rho):
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape[-2:] != (d, d):
-        raise ValueError(f"{name} must be {d}x{d}, got shape {rho.shape}")
+    if rho.shape[-2:] != (4, 4):
+        raise ValueError(f"rho must be 4x4, got shape {rho.shape}")
     return rho
 
 
 def spin_flip_two_qubit(rho):
     """(sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y) for a 4x4 rho."""
-    rho = _as_square(rho, 4, "rho")
+    rho = _as_square(rho)
     return SPIN_FLIP_4 @ np.conj(rho) @ SPIN_FLIP_4
 
 
@@ -114,7 +115,7 @@ def lambda_spectrum(rho):
     Parameters
     ----------
     rho : (..., 4, 4) array_like
-        Hermitian PSD unit-trace density matrix (stacked ok).
+        Hermitian PSD matrix, a density matrix up to its scale (stacked ok).
 
     Returns
     -------
@@ -128,12 +129,21 @@ def lambda_spectrum(rho):
     of M^dag M for the symmetric M = X^T (sigma_y x sigma_y) X, so the
     lambdas are the singular values of M.  Eigenvalues w <= RANK_CUT *
     w_max are dropped from X; nothing is zeroed after the singular value
-    decomposition.
+    decomposition.  A matrix of the stack is rejected as not PSD when its
+    smallest eigenvalue is below -PSD_TOL times its trace, the sum of its
+    eigenvalues.
     """
-    rho = _as_square(rho, 4, "rho")
-    w, u = hermitian_eigensystem(rho)
-    if np.min(w) < -PSD_TOL:
-        raise ValueError(f"input is not PSD (eigenvalue {np.min(w):.3e})")
+    rho = _as_square(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix contains non-finite entries")
+    dev = np.max(np.abs(rho - np.conj(np.swapaxes(rho, -1, -2))))
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian (max |m - m^dag| = {dev:.3e})")
+    w, u = np.linalg.eigh(rho)
+    w, u = w[..., ::-1], u[..., ::-1]  # descending
+    low = w[..., -1] < -PSD_TOL * w.sum(axis=-1)
+    if low.any():
+        raise ValueError(f"input is not PSD (eigenvalue {w[..., -1][low].flat[0]:.3e})")
     w = np.where(w > RANK_CUT * w[..., :1], w, 0.0)
     x = u * np.sqrt(w)[..., None, :]
     return np.linalg.svd(np.swapaxes(x, -1, -2) @ SPIN_FLIP_4 @ x, compute_uv=False)
@@ -256,5 +266,5 @@ def residual_tangle_lambda(psi, pair=("A", "B")):
 
 def trace_rho_rhotilde(rho):
     """Tr(rho rho_tilde), a real non-negative scalar."""
-    rho = _as_square(rho, 4, "rho")
+    rho = _as_square(rho)
     return np.real(np.einsum("...ij,...ji->...", rho, spin_flip_two_qubit(rho)))

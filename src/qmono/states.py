@@ -14,6 +14,7 @@ Two parameter conventions coexist and are kept deliberately distinct:
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from typing import NamedTuple
@@ -63,7 +64,8 @@ def _check_seed(seed) -> int:
 # The chain SeedSequence(entropy=seed, spawn_key=(i,)) -> PCG64 -> random()
 # of RngState(seed, i), rebuilt in integer arithmetic so that one pass
 # serves every index.  SeedSequence hashes 32-bit words into a pool of four
-# (O'Neill's seed_seq_fe).  PCG64 is a 128-bit LCG with XSL-RR output
+# (O'Neill's seed_seq_fe); the seed's part of it, the same for every index,
+# is numpy's own SeedSequence(seed).pool.  PCG64 is a 128-bit LCG with XSL-RR output
 # (O'Neill 2014), stepped here on two uint64 limbs (hi, lo) whose products
 # numpy wraps mod 2**64.  Its operands are all np.uint64: numpy 1.24 turns
 # a uint64 scalar combined with a Python int into a float64.
@@ -142,7 +144,7 @@ def uniforms(seed: int, n: int, k: int) -> np.ndarray:
     uint64), the PCG64 seeding and k XSL-RR outputs turned into doubles as
     random() does.
     The seed words are the same for every stream, so their part of the
-    pool is mixed once in Python integers; every index is below 2**32,
+    pool is SeedSequence(seed).pool, taken once; every index is below 2**32,
     one spawn word, mixed in as an array.  The 128-bit LCG state is two
     uint64 arrays (hi, lo): a step is lo * mult + inc on wrapping uint64
     products plus the carries into hi, and only the high half of
@@ -153,14 +155,11 @@ def uniforms(seed: int, n: int, k: int) -> np.ndarray:
     _check_count(k, "draw count")
     # array arithmetic throughout, which wraps without a warning
     idx = np.arange(n, dtype=np.uint64)
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    # the seed's words, zero-padded to the pool size because a spawn key follows
-    pool = [_hash(w, consts) for w in (seed & _MASK32, seed >> 32, 0, 0)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], consts))
-    pool = [_mix(np.full(n, p, dtype=np.uint64), _hash(idx, consts)) for p in pool]
+    # SeedSequence(seed) hashes a missing seed word as the spawn key's zero pad;
+    # its pool took 16 hash calls, and the spawn word's calls go on from there
+    consts = itertools.islice(_hash_consts(_INIT_A, _MULT_A), 16, None)
+    pool = [_mix(np.full(n, p, dtype=np.uint64), _hash(idx, consts))
+            for p in np.random.SeedSequence(seed).pool]
 
     consts = _hash_consts(_INIT_B, _MULT_B)
     w = [_hash(pool[j % 4], consts) for j in range(8)]

@@ -7,13 +7,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def random_hermitian(rng, dim, batch=()):
-    """Random Hermitian matrix (stack) with entries of order one."""
-    shape = batch + (dim, dim)
-    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return (a + np.conj(np.swapaxes(a, -1, -2))) / 2.0
-
-
 def random_density(rng, dim, batch=()):
     """Random PSD matrix (stack) with unit trace."""
     shape = batch + (dim, dim)

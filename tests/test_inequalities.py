@@ -278,9 +278,10 @@ class TestInvariantRoute:
 
     def test_no_eigensolve(self, rng, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("pure-state reports must not call the eigensolver")
+            raise AssertionError("pure-state reports must not call an eigensolve or an SVD")
 
-        monkeypatch.setattr(measures, "hermitian_eigensystem", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
         psis = random_pure_state(rng, 8, batch=(8,))
         for pivot in ("A", "B", "C"):
             inequalities.monogamy_table(psis, pivot)

@@ -1,13 +1,11 @@
-"""Eigensolver and partial-trace checks, cross-validated against numpy.linalg."""
+"""The norm window, the spin-flip matrix and partial traces, against direct references."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qmono import inequalities, linalg, measures, states
 
-from conftest import EDGE_STATE, random_hermitian, random_pure_state
+from conftest import EDGE_STATE, random_pure_state
 
 
 @pytest.mark.parametrize("check, dim", [
@@ -45,68 +43,8 @@ def test_edge_of_window_is_one_check():
 
 
 class TestBasics:
-    def test_rejects_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            linalg._as_matrix(np.eye(3))
-
     def test_spin_flip_matrix_is_its_own_inverse(self):
         np.testing.assert_allclose(linalg.SPIN_FLIP_4 @ linalg.SPIN_FLIP_4, np.eye(4), atol=1e-15)
-
-
-class TestEigen:
-    @pytest.mark.parametrize("dim", [2, 4, 8])
-    def test_matches_numpy_eigvalsh(self, rng, dim):
-        # independent LAPACK route: the general eigensolver (geev), which
-        # neither assumes Hermiticity nor orders its output
-        a = random_hermitian(rng, dim, batch=(50,))
-        got = linalg.hermitian_eigensystem(a)[0]
-        want = np.sort(np.linalg.eigvals(a).real, axis=-1)[..., ::-1]
-        np.testing.assert_allclose(got, want, atol=1e-10)
-
-    def test_descending_order(self, rng):
-        w = linalg.hermitian_eigensystem(random_hermitian(rng, 8, batch=(20,)))[0]
-        assert np.all(np.diff(w, axis=-1) <= 1e-12)
-
-    def test_eigensystem_reconstructs_matrix(self, rng):
-        a = random_hermitian(rng, 4, batch=(20,))
-        w, u = linalg.hermitian_eigensystem(a)
-        rebuilt = np.einsum("...ik,...k,...jk->...ij", u, w, np.conj(u))
-        np.testing.assert_allclose(rebuilt, a, atol=1e-12)
-        gram = np.einsum("...ki,...kj->...ij", np.conj(u), u)
-        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(4), gram.shape), atol=1e-12)
-
-    def test_diagonal_matrix_is_fixed_point(self):
-        w = linalg.hermitian_eigensystem(np.diag([3.0, -1.0, 2.0, 0.0]).astype(complex))[0]
-        np.testing.assert_allclose(w, [3.0, 2.0, 0.0, -1.0], atol=0)
-
-    def test_degenerate_spectrum(self):
-        w = linalg.hermitian_eigensystem(np.eye(4, dtype=complex) * 0.25)[0]
-        np.testing.assert_allclose(w, 0.25, atol=1e-15)
-
-    def test_rejects_non_hermitian(self, rng):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        with pytest.raises(ValueError):
-            linalg.hermitian_eigensystem(a)
-
-    @pytest.mark.parametrize("solve", [linalg.hermitian_eigensystem])
-    @pytest.mark.parametrize("bad, reason", [
-        (np.full((4, 4), np.inf), "non-finite"),
-        (np.eye(3), "dimension"),
-        (np.ones((4, 2)), "square"),
-        (np.ones(4), "square"),
-    ], ids=["non-finite", "dimension-3", "not-square", "vector"])
-    def test_rejects_bad_input_before_solving(self, solve, bad, reason):
-        with pytest.raises(ValueError, match=reason):
-            solve(bad)
-
-    @given(seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_trace_and_frobenius_preserved(self, seed):
-        g = np.random.default_rng(seed)
-        a = random_hermitian(g, 4)
-        w = linalg.hermitian_eigensystem(a)[0]
-        assert np.trace(a).real == pytest.approx(w.sum(), abs=1e-11)
-        assert np.sum(np.abs(a) ** 2) == pytest.approx(np.sum(w**2), abs=1e-10)
 
 
 class TestPartialTrace:

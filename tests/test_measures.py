@@ -5,7 +5,9 @@ eigensolver: pure-state concurrences come from 2 sqrt(det rho_A) and
 mixed-state ones from closed forms of standard families.
 """
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -112,12 +114,18 @@ class TestLambdaSpectrum:
                                    atol=1e-15, rtol=0)
         assert measures.concurrence_mixed(rho) == pytest.approx(1.0 - 2.0 * p, abs=1e-15)
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-12])
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e-12, 1e8])
     def test_lambdas_scale_with_rho(self, scale):
         # the rank cut is relative to rho's largest eigenvalue, so at 1e-8 it
         # keeps all four weights, where a cut of RANK_CUT / w_max would drop all
         lam = measures.lambda_spectrum(scale * bell_diagonal((0.7, 0.15, 0.1, 0.05)))
         np.testing.assert_allclose(lam, scale * np.array([0.7, 0.15, 0.1, 0.05]), rtol=1e-12, atol=0)
+        # so is the PSD check: at 1e8 the roundoff eigenvalues of rotated Bell
+        # projectors reach -4e-8, which an absolute -PSD_TOL would reject
+        psi = locally_rotated(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0), 50, 3)
+        rho = np.einsum("ni,nj->nij", psi, psi.conj())
+        np.testing.assert_allclose(measures.lambda_spectrum(scale * rho),
+                                   scale * measures.lambda_spectrum(rho), rtol=1e-12, atol=0)
 
     def test_maximally_mixed(self):
         lam = measures.lambda_spectrum(np.eye(4, dtype=complex) / 4.0)
@@ -142,9 +150,53 @@ class TestLambdaSpectrum:
         np.testing.assert_allclose(measures.lambda_spectrum(rho), want, atol=1e-8, rtol=0)
 
     def test_rejects_negative_spectrum(self):
-        rho = np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex)
+        # a -10 % eigenvalue, once or twice, is rejected at any scale, and
+        # only its own matrix of a stack decides
+        for spectrum, scale in itertools.product([(0.7, 0.5, -0.1, -0.1), (0.6, 0.3, 0.2, -0.1)],
+                                                 (1.0, 1e-12, 1e8)):
+            rho = scale * np.diag(spectrum).astype(complex)
+            message = re.escape(f"input is not PSD (eigenvalue {-0.1 * scale:.3e})")
+            with pytest.raises(ValueError, match=message):
+                measures.lambda_spectrum(rho)
+            with pytest.raises(ValueError, match=message):
+                measures.lambda_spectrum(np.stack([1e8 * np.eye(4), rho]))
+
+    def test_checks_and_cut_at_their_bounds(self):
+        # eigh returns a diagonal exactly, so each input sits on its bound:
+        # an eigenvalue of exactly -PSD_TOL times the trace is accepted, and
+        # one at exactly RANK_CUT times the largest is dropped from X
+        d = -9.999999999e-11
+        assert d == -measures.PSD_TOL * (1.0 + d)
+        np.testing.assert_array_equal(measures.lambda_spectrum(np.diag([1.0, 0.0, 0.0, d])), 0.0)
         with pytest.raises(ValueError, match="not PSD"):
+            measures.lambda_spectrum(np.diag([1.0, 0.0, 0.0, np.nextafter(d, -1.0)]))
+        cut = measures.RANK_CUT
+        np.testing.assert_array_equal(measures.lambda_spectrum(np.diag([1.0, 0.0, 0.0, cut])), 0.0)
+        lam = measures.lambda_spectrum(np.diag([1.0, 0.0, 0.0, np.nextafter(cut, 1.0)]))
+        assert lam[0] == lam[1] > 5e-8
+        # an asymmetry of exactly HERMITIAN_TOL is accepted, one ulp more is not
+        rho = np.diag([0.5, 0.5, 0.0, 0.0])
+        rho[0, 1] = measures.HERMITIAN_TOL
+        measures.lambda_spectrum(rho)
+        rho[0, 1] = np.nextafter(measures.HERMITIAN_TOL, 1.0)
+        with pytest.raises(ValueError, match="not Hermitian"):
             measures.lambda_spectrum(rho)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.full((4, 4), np.inf), "matrix contains non-finite entries"),
+        (np.diag([0.5, 0.5, 0.0, 0.0]) + 1e-3 * np.triu(np.ones((4, 4)), 1),
+         "matrix is not Hermitian (max |m - m^dag| = 1.000e-03)"),
+        (np.eye(3), "rho must be 4x4, got shape (3, 3)"),
+        (np.ones((4, 2)), "rho must be 4x4, got shape (4, 2)"),
+        (np.ones(4), "rho must be 4x4, got shape (4,)"),
+    ], ids=["non-finite", "non-hermitian", "dimension-3", "not-square", "vector"])
+    def test_rejects_bad_input_before_solving(self, monkeypatch, bad, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("bad input must be rejected before the eigensolve")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            measures.lambda_spectrum(bad)
 
 
 class TestConcurrenceMixed:
