@@ -43,6 +43,20 @@ def test_edge_of_window_is_one_check():
 
 
 class TestBasics:
+    def test_rejects_unsupported_dimension(self, rng):
+        # normalized states, so the dimension check is the one that fires
+        cases = [
+            (linalg.checked_norm2, random_pure_state(rng, 4), r"8 amplitudes, got shape \(4,\)"),
+            (linalg.checked_norm2, random_pure_state(rng, 16), r"8 amplitudes, got shape \(16,\)"),
+            (lambda psi: linalg.checked_norm2(psi, size=4), random_pure_state(rng, 8),
+             r"4 amplitudes, got shape \(8,\)"),
+            (linalg.partial_trace, random_pure_state(rng, 4), r"8 amplitudes, got shape \(4,\)"),
+            (linalg.partial_trace, np.ones((2, 2, 2)) / np.sqrt(8), r"8 amplitudes, got shape \(2, 2, 2\)"),
+        ]
+        for entry, psi, message in cases:
+            with pytest.raises(ValueError, match=f"^state must have {message}$"):
+                entry(psi)
+
     def test_spin_flip_matrix_is_its_own_inverse(self):
         np.testing.assert_allclose(linalg.SPIN_FLIP_4 @ linalg.SPIN_FLIP_4, np.eye(4), atol=1e-15)
 
